@@ -51,10 +51,11 @@ from .pencils import (
 from .pipeline import (
     METHODS,
     PipelineConfig,
+    _hankel_stage,
+    _loewner_stage,
     _run_one,
     _tune,
     building_surrogate,
-    report_json,
     run_benchmark,
 )
 from .spectral import load_frequency_samples, markov_to_frequency, save_frequency_samples
@@ -180,30 +181,18 @@ def _cmd_svd(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    cfg = PipelineConfig(partition_scheme=args.partition)
     if args.pencil == "hankel":
         if not args.markov:
             raise PencilIdError("reduce hankel needs --markov")
-        pencil = build_hankel(load_markov(args.markov))
-        r = (svd_order(pencil).order_gap if args.order == "auto"
-             else int(args.order))
-        model = hankel_reduce(pencil, r)
+        pencil, hint = _hankel_stage(load_markov(args.markov), cfg, {})
+        reduce = hankel_reduce
     else:
         if not args.frequency:
             raise PencilIdError("reduce loewner needs --frequency")
-        samples = load_frequency_samples(args.frequency)
-        scheme = args.partition
-        if scheme == "combined":
-            lh, rh = partition(samples, "half-half")
-            r = (svd_order(build_loewner(lh, rh, scheme="half-half")).order_gap
-                 if args.order == "auto" else int(args.order))
-            la, ra = partition(samples, "alternate")
-            pencil = build_loewner(la, ra, scheme="alternate")
-        else:
-            left, right = partition(samples, scheme)
-            pencil = build_loewner(left, right, scheme=scheme)
-            r = (svd_order(pencil).order_gap if args.order == "auto"
-                 else int(args.order))
-        model = loewner_reduce(pencil, r)
+        pencil, hint = _loewner_stage(load_frequency_samples(args.frequency), cfg, {})
+        reduce = loewner_reduce
+    model = reduce(pencil, hint if args.order == "auto" else int(args.order))
     out = _out_dir(args)
     save_model(model, out / "model.json")
     print(f"order-{model.n} model -> {out / 'model.json'}")

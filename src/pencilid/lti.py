@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -387,7 +387,7 @@ def save_markov(h: MarkovSequence, path) -> None:
     header = ["k"]
     for i in range(h.ny):
         for j in range(h.nu):
-            header.append(f"h_{i + 1}{j + 1}")
+            header.append(f"h_{i + 1}_{j + 1}")
     header.append("ts")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -404,7 +404,7 @@ def save_markov(h: MarkovSequence, path) -> None:
 def load_markov(path) -> MarkovSequence:
     """Read impulse-response blocks written by :func:`save_markov`.
 
-    Channel dimensions are recovered from the ``h_ij`` column labels.
+    Channel dimensions are recovered from the ``h_i_j`` column labels.
     """
     import csv
 
@@ -414,13 +414,13 @@ def load_markov(path) -> MarkovSequence:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
-        labels = [c for c in header if c.startswith("h_")]
+        labels = [c.split("_")[1:] for c in header if c.startswith("h_")]
         if not labels or header[0] != "k" or header[-1] != "ts":
-            raise FormatError(f"{path}: header must be k,h_11,...,ts")
-        ny = max(int(lbl[2:-1]) for lbl in labels)
-        nu = max(int(lbl[-1]) for lbl in labels)
+            raise FormatError(f"{path}: header must be k,h_1_1,...,ts")
+        ny = max(int(i) for i, _ in labels)
+        nu = max(int(j) for _, j in labels)
         if len(labels) != ny * nu:
-            raise FormatError(f"{path}: inconsistent channel labels {labels}")
+            raise FormatError(f"{path}: inconsistent channel labels {header[1:-1]}")
         rows, ts = [], None
         for lineno, row in enumerate(reader, start=2):
             if not row:

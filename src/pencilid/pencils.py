@@ -9,8 +9,9 @@ matrix alone, so no polynomial (D-term) behavior is forced into the model.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -34,6 +35,11 @@ class LoewnerPencil:
     scheme: str = ""
     ts: float = 1.0
 
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD of ``L``, computed once and shared by every order."""
+        return np.linalg.svd(self.L)
+
 
 @dataclass(frozen=True)
 class HankelPencil:
@@ -55,6 +61,11 @@ class HankelPencil:
     def nu(self) -> int:
         return self.h0.shape[1]
 
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full SVD of ``H``, computed once and shared by every order."""
+        return np.linalg.svd(self.H)
+
 
 @dataclass(frozen=True)
 class SvdReport:
@@ -69,6 +80,7 @@ def _subset(samples: FrequencySamples, idx: np.ndarray) -> FrequencySamples:
         points=samples.points[idx],
         values=samples.values[idx],
         omega=samples.omega[idx],
+        ts=samples.ts,
     )
 
 
@@ -95,11 +107,12 @@ def partition(samples: FrequencySamples,
 
 
 def build_loewner(left: FrequencySamples, right: FrequencySamples,
-                  scheme: str = "", ts: float = 1.0) -> LoewnerPencil:
+                  scheme: str = "", ts: Optional[float] = None) -> LoewnerPencil:
     """Divided-difference pencil from two disjoint sample sets.
 
     Rows follow the right set (whose samples stack into V), columns the left
-    set (stacking into W); multichannel samples enter as blocks.
+    set (stacking into W); multichannel samples enter as blocks.  The sample
+    period defaults to that of the samples.
     """
     zl, zr = left.points, right.points
     if left.ny != right.ny or left.nu != right.nu:
@@ -111,22 +124,16 @@ def build_loewner(left: FrequencySamples, right: FrequencySamples,
         i, j = collisions[0]
         raise PointCollision(int(i), int(j))
     kr, kl = len(zr), len(zl)
-    L = np.empty((kr * ny, kl * nu), dtype=complex)
-    Ls = np.empty_like(L)
-    for i in range(kr):
-        for j in range(kl):
-            d = zr[i] - zl[j]
-            L[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = (
-                (right.values[i] - left.values[j]) / d
-            )
-            Ls[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = (
-                (zr[i] * right.values[i] - zl[j] * left.values[j]) / d
-            )
+    # (kr, kl, ny, nu) divided differences, laid out as (kr*ny, kl*nu) blocks
+    zr4, zl4 = zr[:, None, None, None], zl[None, :, None, None]
+    vr, vl = right.values[:, None], left.values[None, :]
+    L, Ls = ((num / (zr4 - zl4)).transpose(0, 2, 1, 3).reshape(kr * ny, kl * nu)
+             for num in (vr - vl, zr4 * vr - zl4 * vl))
     V = right.values.reshape(kr * ny, nu)
-    W = np.hstack([left.values[j] for j in range(kl)])
+    W = left.values.transpose(1, 0, 2).reshape(ny, kl * nu)
     return LoewnerPencil(L=L, Ls=Ls, V=V, W=W, left_points=zl.copy(),
-                         right_points=zr.copy(), ny=ny, nu=nu,
-                         scheme=scheme, ts=ts)
+                         right_points=zr.copy(), ny=ny, nu=nu, scheme=scheme,
+                         ts=left.ts if ts is None else ts)
 
 
 def svd_order(obj: Union[np.ndarray, LoewnerPencil, HankelPencil],
@@ -174,7 +181,7 @@ def loewner_reduce(pencil: LoewnerPencil, r: int) -> DescriptorModel:
     """
     if not 1 <= r <= min(pencil.L.shape):
         raise OrderError(f"order {r} outside [1, {min(pencil.L.shape)}]")
-    X, _, Vh = np.linalg.svd(pencil.L)
+    X, _, Vh = pencil.svd
     Xr = X[:, :r]
     Yr = Vh[:r].conj().T
     E = -(Xr.conj().T @ pencil.L @ Yr)
@@ -195,12 +202,10 @@ def build_hankel(h: MarkovSequence) -> HankelPencil:
         raise DimensionError("need at least 3 coefficients (N >= 3)")
     m = (N - 1) // 2
     ny, nu = h.ny, h.nu
-    H = np.empty((m * ny, m * nu))
-    Hs = np.empty_like(H)
-    for i in range(m):
-        for j in range(m):
-            H[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = h.blocks[i + j + 1]
-            Hs[i * ny:(i + 1) * ny, j * nu:(j + 1) * nu] = h.blocks[i + j + 2]
+    idx = np.arange(m)[:, None] + np.arange(m)[None, :]
+    # block (i, j) of H is h_{i+j+1}, of Hs h_{i+j+2}
+    H, Hs = (h.blocks[idx + k].transpose(0, 2, 1, 3).reshape(m * ny, m * nu)
+             for k in (1, 2))
     return HankelPencil(H=H, Hs=Hs, first_row_blocks=h.blocks[1:m + 1].copy(),
                         h0=h.blocks[0].copy(), ts=h.ts)
 
@@ -213,7 +218,7 @@ def hankel_reduce(pencil: HankelPencil, r: int) -> DescriptorModel:
     """
     if not 1 <= r <= min(pencil.H.shape):
         raise OrderError(f"order {r} outside [1, {min(pencil.H.shape)}]")
-    X, _, Vh = np.linalg.svd(pencil.H)
+    X, _, Vh = pencil.svd
     Xr = X[:, :r]
     Yr = Vh[:r].T
     E = Xr.T @ pencil.H @ Yr

@@ -18,7 +18,7 @@ import contextlib
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -45,6 +45,8 @@ from .lti import (
 )
 from .metrics import eval_grid_logspace, fit_percentage, h2_freq_error, h2_impulse_error
 from .pencils import (
+    HankelPencil,
+    LoewnerPencil,
     build_hankel,
     build_loewner,
     hankel_reduce,
@@ -84,8 +86,6 @@ class PipelineConfig:
         for m in (self.method, *self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; use one of {METHODS}")
-        if self.method == "noisy-lf" or "noisy-lf" in self.methods:
-            pass  # SISO requirement checked against the dataset at run time
 
 
 @contextlib.contextmanager
@@ -122,55 +122,40 @@ def _tune(dataset: Dataset, tuning: TuningConfig,
     return out
 
 
-def _pick_order(cfg: PipelineConfig, report_order_gap: int, max_order: int) -> int:
-    if cfg.order == "auto":
-        return min(report_order_gap, max_order)
-    r = int(cfg.order)
-    return min(r, max_order)
-
-
 def _hankel_stage(h: MarkovSequence, cfg: PipelineConfig, report: dict):
+    """Hankel pencil of the coefficients and its gap order hint."""
     with _step("step 3a: Hankel pencil"):
         pencil = build_hankel(h)
     with _step("step 3b: Hankel SVD"):
         sv = svd_order(pencil, cfg.tuning.svd_threshold)
     report["singular_values"] = {"hankel": sv.singular_values.tolist()}
-    r = _pick_order(cfg, sv.order_gap, min(pencil.H.shape))
-    report["order"] = r
-    with _step("step 3c: Hankel realization"):
-        model = hankel_reduce(pencil, r)
-    return model, pencil
+    return pencil, sv.order_gap
 
 
-def _loewner_stage(samples, cfg: PipelineConfig, report: dict, ts: float):
-    scheme = cfg.partition_scheme
-    sv_lists = {}
+def _loewner_stage(samples, cfg: PipelineConfig, report: dict):
+    """Loewner pencil of the configured partition and its gap order hint;
+    the combined scheme takes the half-half hint and the alternate pencil."""
     with _step("step 3b: half-half Loewner"):
-        lh, rh = partition(samples, "half-half")
-        pencil_hh = build_loewner(lh, rh, scheme="half-half", ts=ts)
+        pencil_hh = build_loewner(*partition(samples, "half-half"), scheme="half-half")
         sv_hh = svd_order(pencil_hh, cfg.tuning.svd_threshold)
-        sv_lists["loewner_half_half"] = sv_hh.singular_values.tolist()
     with _step("step 3d: alternate Loewner"):
-        la, ra = partition(samples, "alternate")
-        pencil_alt = build_loewner(la, ra, scheme="alternate", ts=ts)
+        pencil_alt = build_loewner(*partition(samples, "alternate"), scheme="alternate")
         sv_alt = svd_order(pencil_alt, cfg.tuning.svd_threshold)
-        sv_lists["loewner_alternate"] = sv_alt.singular_values.tolist()
-    report["singular_values"] = sv_lists
-    if scheme == "alternate":
-        order_hint, build = sv_alt.order_gap, pencil_alt
-    elif scheme == "half-half":
-        order_hint, build = sv_hh.order_gap, pencil_hh
-    else:  # combined: order read off the half-half decay, model built alternate
-        order_hint, build = sv_hh.order_gap, pencil_alt
-    r = _pick_order(cfg, order_hint, min(build.L.shape))
-    report["order"] = r
-    with _step("step 3e: Loewner realization"):
-        model = loewner_reduce(build, r)
-    return model, pencil_hh, pencil_alt
+    report["singular_values"] = {
+        "loewner_half_half": sv_hh.singular_values.tolist(),
+        "loewner_alternate": sv_alt.singular_values.tolist(),
+    }
+    if cfg.partition_scheme == "alternate":
+        return pencil_alt, sv_alt.order_gap
+    if cfg.partition_scheme == "half-half":
+        return pencil_hh, sv_hh.order_gap
+    return pencil_alt, sv_hh.order_gap
 
 
-def _run_one(dataset: Dataset, cfg: PipelineConfig, method: str,
-             corr: Optional[np.ndarray] = None) -> tuple[DescriptorModel, dict]:
+def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,
+         corr: Optional[np.ndarray] = None):
+    """Everything of a run that does not depend on the reduction order:
+    returns the pencil to truncate, its order hint, and the run report."""
     report = {"method": method}
     tune = _tune(dataset, cfg.tuning, corr)
     report.update(
@@ -187,20 +172,35 @@ def _run_one(dataset: Dataset, cfg: PipelineConfig, method: str,
     report["h_estimate"] = h if method != "noisy-lf" else None
 
     if method in ("smm-hf", "ls-hf"):
-        model, pencil = _hankel_stage(h, cfg, report)
-        report["pencils"] = {"hankel": pencil}
-    elif method == "smm-lf":
+        return (*_hankel_stage(h, cfg, report), report)
+    if method == "smm-lf":
         with _step("step 3a: FFT bridge"):
             samples = markov_to_frequency(h)
-        model, p_hh, p_alt = _loewner_stage(samples, cfg, report, dataset.ts)
-        report["pencils"] = {"half-half": p_hh, "alternate": p_alt}
     else:  # noisy-lf
         if dataset.nu != 1 or dataset.ny != 1:
             raise MethodUnsupported("noisy-lf requires single-input single-output data")
         with _step("spectral-ratio estimate"):
             samples = estimate_frf_spectral(dataset, tune["N"])
-        model, p_hh, p_alt = _loewner_stage(samples, cfg, report, dataset.ts)
-        report["pencils"] = {"half-half": p_hh, "alternate": p_alt}
+    return (*_loewner_stage(samples, cfg, report), report)
+
+
+def _reduce(pencil: Union[HankelPencil, LoewnerPencil], order: Union[int, str],
+            hint: int) -> tuple[DescriptorModel, int]:
+    """Truncate a fitted pencil to ``order`` ("auto": the hint), capped at
+    the pencil's size.  Returns the model and the order used."""
+    if isinstance(pencil, HankelPencil):
+        label, reduce, M = "step 3c: Hankel realization", hankel_reduce, pencil.H
+    else:
+        label, reduce, M = "step 3e: Loewner realization", loewner_reduce, pencil.L
+    r = min(hint if order == "auto" else int(order), min(M.shape))
+    with _step(label):
+        return reduce(pencil, r), r
+
+
+def _run_one(dataset: Dataset, cfg: PipelineConfig, method: str,
+             corr: Optional[np.ndarray] = None) -> tuple[DescriptorModel, dict]:
+    pencil, hint, report = _fit(dataset, cfg, method, corr)
+    model, report["order"] = _reduce(pencil, cfg.order, hint)
     return model, report
 
 
@@ -293,26 +293,29 @@ def _quantiles(values: Sequence[float]) -> dict:
     }
 
 
-def _model_metrics(model: DescriptorModel, truth: DescriptorModel,
-                   N: int, grid_z: np.ndarray) -> dict:
-    h_true = impulse_response(truth, N)
-    h_model = impulse_response(model, N)
-    H_true = frequency_response(truth, grid_z)
+def _model_metrics(model: DescriptorModel, h_true: MarkovSequence,
+                   H_true: np.ndarray, grid_z: np.ndarray):
+    """W_h and W_H of a model against the truth's responses, with the
+    model's impulse and frequency responses."""
+    h_model = impulse_response(model, len(h_true))
     H_model = frequency_response(model, grid_z)
-    return {
+    metrics = {
         "W_h": h2_impulse_error(h_model, h_true),
         "W_H": h2_freq_error(H_model, H_true),
     }
+    return metrics, h_model, H_model
 
 
 def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
                   out_dir: Optional[Union[str, Path]] = None) -> dict:
     """Repeated-noise campaign over one or more methods.
 
-    Generates ``cfg.realizations`` datasets with consecutive seeds, runs every
-    configured method on each, and aggregates fit/error metrics, singular
-    value decays, an order sweep, and boxplot quantiles.  Results are merged
-    in seed order so the report is deterministic for a fixed configuration.
+    Generates ``cfg.realizations`` datasets with consecutive seeds, fits every
+    configured method once per dataset, reduces each fit to the configured
+    order and to every order of the sweep, and aggregates fit/error metrics,
+    singular value decays, the order sweep, and boxplot quantiles.  Results
+    are merged in seed order so the report is deterministic for a fixed
+    configuration.
     """
     t0 = time.monotonic()
     if not model.is_discrete:
@@ -356,37 +359,49 @@ def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
         sv_acc: dict[str, list] = {}
         h_acc = None
         frf_acc = None
-        n_common = None
-        for i, dataset in enumerate(datasets):
-            run_cfg = replace(cfg, method=method)
+        # per sweep order: W_h and W_H of every record it reduced
+        sweep_acc = {r: ([], []) for r in cfg.order_sweep}
+        for dataset in datasets:
             try:
-                est_model, run_report = _run_one(dataset, run_cfg, method, corr)
+                pencil, hint, run_report = _fit(dataset, cfg, method, corr)
             except PencilIdError as exc:
                 rows.append({"seed": dataset.seed, "failed": str(exc)})
                 continue
             N = run_report["N"]
-            n_common = N
             h_true = impulse_response(model, N)
+            for r in cfg.order_sweep:
+                try:
+                    swept, _ = _reduce(pencil, int(r), hint)
+                except PencilIdError:
+                    continue
+                errors, _, _ = _model_metrics(swept, h_true, H_true_grid, grid_z)
+                sweep_acc[r][0].append(errors["W_h"])
+                sweep_acc[r][1].append(errors["W_H"])
+            try:
+                est_model, order = _reduce(pencil, cfg.order, hint)
+            except PencilIdError as exc:
+                rows.append({"seed": dataset.seed, "failed": str(exc)})
+                continue
             row = {
                 "seed": dataset.seed,
                 "L0": run_report["L0"],
                 "N": N,
                 "sigma2_hat": run_report["sigma2_hat"],
-                "r": run_report["order"],
+                "r": order,
             }
             if run_report["h_estimate"] is not None:
                 row["W"] = fit_percentage(run_report["h_estimate"], h_true)
-            row.update(_model_metrics(est_model, model, N, grid_z))
+            errors, h_model, H_model = _model_metrics(est_model, h_true,
+                                                      H_true_grid, grid_z)
+            row.update(errors)
             rows.append(row)
             for name, sv in run_report["singular_values"].items():
                 sv = np.asarray(sv)
                 sv_acc.setdefault(name, []).append(sv / sv[0])
-            h_model = impulse_response(est_model, N)
             h_acc = (h_model.blocks if h_acc is None else h_acc + h_model.blocks)
-            H_model = frequency_response(est_model, grid_z)
             frf_acc = H_model if frf_acc is None else frf_acc + H_model
             if emitted_model is None:
-                emitted_model = (est_model, method, dict(row))
+                emitted_model = est_model
         ok = [r for r in rows if "failed" not in r]
         method_report = {
             "realizations": rows,
@@ -407,21 +422,21 @@ def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
                 name: np.mean(np.array(curves), axis=0).tolist()
                 for name, curves in sv_acc.items()
             }
-        if ok and h_acc is not None:
+        if ok:
             method_report["mean_impulse"] = (h_acc / len(ok)).tolist()
-        if ok and frf_acc is not None:
             mean_frf = frf_acc / len(ok)
             method_report["mean_frf"] = {
                 "omega_rad_s": grid_omega.tolist(),
                 "re": mean_frf.real.tolist(),
                 "im": mean_frf.imag.tolist(),
             }
+        if cfg.order_sweep and ok:
+            method_report["order_sweep"] = {
+                "orders": list(cfg.order_sweep),
+                "mean_W_h": [_mean_or_none(sweep_acc[r][0]) for r in cfg.order_sweep],
+                "mean_W_H": [_mean_or_none(sweep_acc[r][1]) for r in cfg.order_sweep],
+            }
         report["methods"][method] = method_report
-
-        if cfg.order_sweep and n_common is not None:
-            method_report["order_sweep"] = _order_sweep(
-                datasets, model, cfg, method, corr, grid_z
-            )
 
     report["true_frf"] = {
         "omega_rad_s": grid_omega.tolist(),
@@ -429,35 +444,13 @@ def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
         "im": H_true_grid.imag.tolist(),
     }
     report["wall_time_s"] = time.monotonic() - t0
-    for m in report["methods"].values():
-        for row in m["realizations"]:
-            row.pop("h_estimate", None)
     if out_dir is not None:
         _emit_artifacts(report, emitted_model, model, Path(out_dir))
     return report
 
 
-def _order_sweep(datasets, model, cfg, method, corr, grid_z) -> dict:
-    """Mean W_h and W_H at each requested reduction order."""
-    sweep = {"orders": list(cfg.order_sweep), "mean_W_h": [], "mean_W_H": []}
-    per_order_wh = {r: [] for r in cfg.order_sweep}
-    per_order_wH = {r: [] for r in cfg.order_sweep}
-    for dataset in datasets:
-        for r in cfg.order_sweep:
-            run_cfg = replace(cfg, method=method, order=int(r))
-            try:
-                est_model, run_report = _run_one(dataset, run_cfg, method, corr)
-            except PencilIdError:
-                continue
-            m = _model_metrics(est_model, model, run_report["N"], grid_z)
-            per_order_wh[r].append(m["W_h"])
-            per_order_wH[r].append(m["W_H"])
-    for r in cfg.order_sweep:
-        sweep["mean_W_h"].append(
-            float(np.mean(per_order_wh[r])) if per_order_wh[r] else None)
-        sweep["mean_W_H"].append(
-            float(np.mean(per_order_wH[r])) if per_order_wH[r] else None)
-    return sweep
+def _mean_or_none(values: list) -> Optional[float]:
+    return float(np.mean(values)) if values else None
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +468,7 @@ def _emit_artifacts(report: dict, emitted_model, truth: DescriptorModel,
     with open(out_dir / "report.json", "w") as f:
         f.write(report_json(report))
     if emitted_model is not None:
-        save_model(emitted_model[0], out_dir / "model.json")
+        save_model(emitted_model, out_dir / "model.json")
 
     first = next(iter(report["methods"].values()))
     svs = first.get("singular_values_mean", {})

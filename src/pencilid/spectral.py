@@ -19,12 +19,14 @@ class FrequencySamples:
     """Transfer-function samples on unit-circle points.
 
     ``points`` are the complex z_k, ``values`` the (ny, nu) sample matrices,
-    ``omega`` the angles in rad/sample.
+    ``omega`` the angles in rad/sample, ``ts`` the sample period of the
+    system they describe.
     """
 
     points: np.ndarray   # (N,) complex, |z| = 1
     values: np.ndarray   # (N, ny, nu) complex
     omega: np.ndarray    # (N,) rad/sample
+    ts: float = 1.0
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=complex)
@@ -71,7 +73,7 @@ def markov_to_frequency(h: MarkovSequence) -> FrequencySamples:
     values = np.fft.fft(h.blocks, axis=0)
     omega = 2.0 * np.pi * np.arange(N) / N
     points = np.exp(1j * omega)
-    return FrequencySamples(points=points, values=values, omega=omega)
+    return FrequencySamples(points=points, values=values, omega=omega, ts=h.ts)
 
 
 def estimate_frf_spectral(dataset: Dataset, n_grid: int) -> FrequencySamples:
@@ -106,15 +108,18 @@ def estimate_frf_spectral(dataset: Dataset, n_grid: int) -> FrequencySamples:
     H = Syu / Suu
     omega = 2.0 * np.pi * np.arange(n_grid) / n_grid
     return FrequencySamples(points=np.exp(1j * omega),
-                            values=H.reshape(-1, 1, 1), omega=omega)
+                            values=H.reshape(-1, 1, 1), omega=omega, ts=dataset.ts)
 
 
 def save_frequency_samples(samples: FrequencySamples, path) -> None:
-    """CSV export: one row per grid point, re/im columns per channel pair."""
+    """CSV export: one row per grid point, re/im columns per channel pair
+    (``re(H_i_j)``, ``im(H_i_j)``), and the sample period in a trailing
+    ``ts`` column of the first row."""
     header = ["omega"]
     for i in range(samples.ny):
         for j in range(samples.nu):
-            header += [f"re(H_{i + 1}{j + 1})", f"im(H_{i + 1}{j + 1})"]
+            header += [f"re(H_{i + 1}_{j + 1})", f"im(H_{i + 1}_{j + 1})"]
+    header.append("ts")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -124,6 +129,7 @@ def save_frequency_samples(samples: FrequencySamples, path) -> None:
                 for j in range(samples.nu):
                     v = samples.values[k, i, j]
                     row += [repr(float(v.real)), repr(float(v.imag))]
+            row.append(repr(float(samples.ts)) if k == 0 else "")
             writer.writerow(row)
 
 
@@ -137,22 +143,25 @@ def load_frequency_samples(path) -> FrequencySamples:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
-        labels = [c for c in header if c.startswith("re(H_")]
-        if not labels or header[0] != "omega":
-            raise FormatError(f"{path}: header must be omega,re(H_11),im(H_11),...")
-        ny = max(int(lbl[5:-1][0]) for lbl in labels)
-        nu = max(int(lbl[5:-1][1]) for lbl in labels)
-        omega, values = [], []
+        labels = [c[5:-1].split("_") for c in header if c.startswith("re(H_")]
+        if not labels or header[0] != "omega" or header[-1] != "ts":
+            raise FormatError(
+                f"{path}: header must be omega,re(H_1_1),im(H_1_1),...,ts")
+        ny = max(int(i) for i, _ in labels)
+        nu = max(int(j) for _, j in labels)
+        omega, values, ts = [], [], None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 1 + 2 * ny * nu:
+            if len(row) != 2 + 2 * ny * nu:
                 raise FormatError(
-                    f"{path}: line {lineno}: expected {1 + 2 * ny * nu} columns"
+                    f"{path}: line {lineno}: expected {2 + 2 * ny * nu} columns"
                 )
             try:
                 omega.append(float(row[0]))
-                flat = [float(v) for v in row[1:]]
+                flat = [float(v) for v in row[1:-1]]
+                if row[-1]:
+                    ts = float(row[-1])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from None
             re = np.asarray(flat[0::2]).reshape(ny, nu)
@@ -163,6 +172,7 @@ def load_frequency_samples(path) -> FrequencySamples:
     omega = np.asarray(omega)
     try:
         return FrequencySamples(points=np.exp(1j * omega),
-                                values=np.asarray(values), omega=omega)
+                                values=np.asarray(values), omega=omega,
+                                ts=ts if ts is not None else 1.0)
     except DimensionError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -47,7 +47,9 @@ def test_fft_svd_reduce_chain(workdir):
     assert run(["reduce", "loewner", "--frequency",
                 workdir / "f" / "frequency.csv", "--order", 48,
                 "--partition", "combined", "--out", workdir / "rl"]) == 0
-    assert load_model(workdir / "rl" / "model.json").n == 48
+    rl = load_model(workdir / "rl" / "model.json")
+    assert rl.n == 48
+    assert rl.ts == 0.015   # the sample period travels through frequency.csv
     assert run(["reduce", "hankel", "--markov", e / "impulse.csv",
                 "--order", 48, "--out", workdir / "rh"]) == 0
     assert load_model(workdir / "rh" / "model.json").n == 48

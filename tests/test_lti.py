@@ -192,13 +192,15 @@ def test_load_model_format_errors(tmp_path):
 
 
 def test_markov_roundtrip(tmp_path):
+    # Channel counts of 10 or more need delimited labels (h_1_10).
     rng = np.random.default_rng(2)
-    h = MarkovSequence(rng.normal(size=(9, 2, 3)), ts=0.25)
-    path = tmp_path / "h.csv"
-    save_markov(h, path)
-    back = load_markov(path)
-    assert np.array_equal(back.blocks, h.blocks)
-    assert back.ts == 0.25
+    for ny, nu in ((2, 3), (1, 10), (10, 1)):
+        h = MarkovSequence(rng.normal(size=(9, ny, nu)), ts=0.25)
+        path = tmp_path / f"h{ny}x{nu}.csv"
+        save_markov(h, path)
+        back = load_markov(path)
+        assert np.array_equal(back.blocks, h.blocks)
+        assert back.ts == 0.25
 
 
 def test_dimension_errors():

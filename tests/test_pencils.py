@@ -79,6 +79,37 @@ def test_loewner_first_order_oracle():
     assert p.W[0, 0] == pytest.approx(H(z2))   # left-set data
 
 
+def test_build_loewner_mimo_elementwise_oracle():
+    # ny=2, nu=3: entry (a, b) of block (i, j) is the divided difference of
+    # channel (a, b) between right point i and left point j.
+    rng = np.random.default_rng(4)
+    ny, nu = 2, 3
+    omega = np.linspace(0.1, 2.9, 7)
+    values = rng.normal(size=(7, ny, nu)) + 1j * rng.normal(size=(7, ny, nu))
+    s = FrequencySamples(points=np.exp(1j * omega), values=values, omega=omega)
+    left, right = partition(s, "alternate")
+    p = build_loewner(left, right)
+    zl, zr, vl, vr = left.points, right.points, left.values, right.values
+    assert p.L.shape == p.Ls.shape == (len(zr) * ny, len(zl) * nu)
+    for i in range(len(zr)):
+        for j in range(len(zl)):
+            for a in range(ny):
+                for b in range(nu):
+                    d = zr[i] - zl[j]
+                    assert p.L[i * ny + a, j * nu + b] == pytest.approx(
+                        (vr[i, a, b] - vl[j, a, b]) / d, rel=1e-14)
+                    assert p.Ls[i * ny + a, j * nu + b] == pytest.approx(
+                        (zr[i] * vr[i, a, b] - zl[j] * vl[j, a, b]) / d, rel=1e-14)
+    for i in range(len(zr)):
+        for a in range(ny):
+            for b in range(nu):
+                assert p.V[i * ny + a, b] == vr[i, a, b]
+    for j in range(len(zl)):
+        for a in range(ny):
+            for b in range(nu):
+                assert p.W[a, j * nu + b] == vl[j, a, b]
+
+
 def test_loewner_constant_samples():
     c = 3.0
     omega = np.array([0.2, 0.9, 1.7, 2.5])
@@ -206,15 +237,16 @@ def test_build_hankel_oracle():
 
 def test_build_hankel_block_structure_mimo():
     rng = np.random.default_rng(0)
-    blocks = rng.normal(size=(7, 2, 1))  # ny=2, nu=1 -> m=3
-    p = build_hankel(MarkovSequence(blocks, ts=1.0))
-    m = 3
-    for i in range(m):
-        for j in range(m):
-            got = p.H[i * 2 : (i + 1) * 2, j : j + 1]
-            assert np.array_equal(got, blocks[i + j + 1])
-            got_s = p.Hs[i * 2 : (i + 1) * 2, j : j + 1]
-            assert np.array_equal(got_s, blocks[i + j + 2])
+    for ny, nu in ((2, 1), (2, 3)):
+        blocks = rng.normal(size=(7, ny, nu))  # m=3
+        p = build_hankel(MarkovSequence(blocks, ts=1.0))
+        m = 3
+        assert p.H.shape == p.Hs.shape == (m * ny, m * nu)
+        for i in range(m):
+            for j in range(m):
+                rows, cols = slice(i * ny, (i + 1) * ny), slice(j * nu, (j + 1) * nu)
+                assert np.array_equal(p.H[rows, cols], blocks[i + j + 1])
+                assert np.array_equal(p.Hs[rows, cols], blocks[i + j + 2])
 
 
 def test_hankel_reduce_scalar_oracle():
@@ -256,6 +288,39 @@ def test_hankel_order_error():
         hankel_reduce(p, 0)
     with pytest.raises(OrderError):
         hankel_reduce(p, 4)
+
+
+# --- one SVD per pencil ---------------------------------------------------------------
+
+def _count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_hankel_reduce_shares_one_svd(monkeypatch):
+    rng = np.random.default_rng(6)
+    p = build_hankel(exact_markov(random_stable_model(rng, 4, rho=0.8), 16))
+    calls = _count_svd_calls(monkeypatch)
+    models = [hankel_reduce(p, r) for r in (1, 3, 4)]
+    assert len(calls) == 1
+    assert [m.n for m in models] == [1, 3, 4]
+
+
+def test_loewner_reduce_shares_one_svd(monkeypatch):
+    rng = np.random.default_rng(6)
+    s = _samples_of_model(random_stable_model(rng, 4, rho=0.8), 12)
+    p = build_loewner(*partition(s, "alternate"))
+    calls = _count_svd_calls(monkeypatch)
+    models = [loewner_reduce(p, r) for r in (1, 3, 4)]
+    assert len(calls) == 1
+    assert [m.n for m in models] == [1, 3, 4]
 
 
 # --- SVD order selection ---------------------------------------------------------------

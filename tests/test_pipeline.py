@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ def test_benchmark_order_sweep(small_benchmark):
     sweep = report["methods"]["ls-hf"]["order_sweep"]
     assert sweep["orders"] == [2, 4]
     assert all(v is None or v >= 0 for v in sweep["mean_W_h"])
+    # Each sweep entry equals an independent fit of every record at that
+    # order, tuned to the same past window the campaign chose.
+    rows = report["methods"]["ls-hf"]["realizations"]
+    for r, mean_W_h in zip(sweep["orders"], sweep["mean_W_h"]):
+        W_h = []
+        for row in rows:
+            ds = generate_experiment(model, cfg.ns, cfg.sigma2, seed=row["seed"])
+            run_cfg = replace(cfg, method="ls-hf", order=r,
+                              tuning=replace(cfg.tuning, L0=row["L0"]))
+            fitted, fit_report = run_baseline(ds, run_cfg)
+            N = fit_report["N"]
+            W_h.append(h2_impulse_error(impulse_response(fitted, N),
+                                        impulse_response(model, N)))
+        assert mean_W_h == np.mean(W_h)
 
 
 def test_benchmark_requires_discrete_model():

@@ -101,12 +101,15 @@ def test_spectral_ratio_rejects_mimo_and_zero_input():
 
 
 def test_frequency_samples_roundtrip(tmp_path):
+    # Channel counts of 10 or more need delimited labels (re(H_1_10)).
     rng = np.random.default_rng(3)
-    h = rng.normal(size=(12, 2, 2))
-    s = markov_to_frequency(MarkovSequence(h, ts=1.0))
-    path = tmp_path / "f.csv"
-    save_frequency_samples(s, path)
-    back = load_frequency_samples(path)
-    assert np.array_equal(back.omega, s.omega)
-    assert np.array_equal(back.values, s.values)
-    assert back.ny == 2 and back.nu == 2
+    for ny, nu in ((2, 2), (1, 10), (10, 1)):
+        h = rng.normal(size=(12, ny, nu))
+        s = markov_to_frequency(MarkovSequence(h, ts=0.25))
+        path = tmp_path / f"f{ny}x{nu}.csv"
+        save_frequency_samples(s, path)
+        back = load_frequency_samples(path)
+        assert np.array_equal(back.omega, s.omega)
+        assert np.array_equal(back.values, s.values)
+        assert back.ny == ny and back.nu == nu
+        assert back.ts == 0.25
