@@ -26,10 +26,7 @@ import numpy as np
 
 from .dataio import Dataset, generate_experiment, load_dataset, save_dataset
 from .errors import NumericalError, PencilIdError
-from .estimation import (
-    TuningConfig,
-    estimate_markov_smm,
-)
+from .estimation import TuningConfig
 from .lti import (
     SignalSequence,
     discretize_zoh,
@@ -39,22 +36,13 @@ from .lti import (
     save_model,
     simulate,
 )
-from .pencils import (
-    build_hankel,
-    build_loewner,
-    hankel_reduce,
-    loewner_reduce,
-    partition,
-    save_singular_values,
-    svd_order,
-)
+from .pencils import hankel_reduce, loewner_reduce, save_singular_values
 from .pipeline import (
     METHODS,
     PipelineConfig,
-    _hankel_stage,
-    _loewner_stage,
+    _estimate,
+    _pencil_stage,
     _run_one,
-    _tune,
     building_surrogate,
     run_benchmark,
 )
@@ -129,11 +117,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     dataset = load_dataset(args.dataset)
-    tune = _tune(dataset, _tuning_from_args(args))
-    if args.estimator == "ls":
-        h = tune["h_ls"]
-    else:
-        h = estimate_markov_smm(dataset, tune["L0"], tune["N"], tune["sigma2_hat"])
+    h, tune = _estimate(dataset, _tuning_from_args(args), args.estimator)
     out = _out_dir(args)
     save_markov(h, out / "impulse.csv")
     with open(out / "tuning.json", "w") as f:
@@ -154,23 +138,16 @@ def _cmd_fft(args) -> int:
     return EXIT_OK
 
 
-def _pencil_from_args(args):
-    """Build the Hankel or Loewner pencil named by the input file flags."""
+def _cmd_svd(args) -> int:
     if args.markov and args.frequency:
         raise PencilIdError("pass either --markov or --frequency, not both")
     if args.markov:
-        return build_hankel(load_markov(args.markov)), "hankel"
-    if args.frequency:
-        samples = load_frequency_samples(args.frequency)
-        scheme = args.partition if args.partition != "combined" else "alternate"
-        left, right = partition(samples, scheme)
-        return build_loewner(left, right, scheme=scheme), "loewner"
-    raise PencilIdError("pass --markov (Hankel) or --frequency (Loewner)")
-
-
-def _cmd_svd(args) -> int:
-    pencil, kind = _pencil_from_args(args)
-    report = svd_order(pencil)
+        data, kind = load_markov(args.markov), "hankel"
+    elif args.frequency:
+        data, kind = load_frequency_samples(args.frequency), "loewner"
+    else:
+        raise PencilIdError("pass --markov (Hankel) or --frequency (Loewner)")
+    _, report, _ = _pencil_stage(data, args.partition, TuningConfig().svd_threshold)
     out = _out_dir(args)
     save_singular_values(report.singular_values, out / "singular_values.csv")
     print(f"{kind} matrix: {len(report.singular_values)} singular values, "
@@ -181,18 +158,16 @@ def _cmd_svd(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    cfg = PipelineConfig(partition_scheme=args.partition)
     if args.pencil == "hankel":
         if not args.markov:
             raise PencilIdError("reduce hankel needs --markov")
-        pencil, hint = _hankel_stage(load_markov(args.markov), cfg, {})
-        reduce = hankel_reduce
+        data, reduce = load_markov(args.markov), hankel_reduce
     else:
         if not args.frequency:
             raise PencilIdError("reduce loewner needs --frequency")
-        pencil, hint = _loewner_stage(load_frequency_samples(args.frequency), cfg, {})
-        reduce = loewner_reduce
-    model = reduce(pencil, hint if args.order == "auto" else int(args.order))
+        data, reduce = load_frequency_samples(args.frequency), loewner_reduce
+    pencil, sv, _ = _pencil_stage(data, args.partition, TuningConfig().svd_threshold)
+    model = reduce(pencil, sv.order_gap if args.order == "auto" else int(args.order))
     out = _out_dir(args)
     save_model(model, out / "model.json")
     print(f"order-{model.n} model -> {out / 'model.json'}")

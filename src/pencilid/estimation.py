@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataio import Dataset
 from .errors import (
@@ -41,7 +42,6 @@ class TuningConfig:
     L0: Optional[int] = None
     N: Optional[int] = None
     sigma2: Optional[float] = None
-    r: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -91,27 +91,25 @@ def block_hankel(signal: SignalSequence, depth: int, start: int = 0,
         raise OutOfRange(
             f"window needs {start + depth + cols - 1} samples, signal has {K}"
         )
-    nch = signal.channels
-    out = np.empty((depth * nch, cols))
-    for i in range(depth):
-        block = signal.samples[start + i : start + i + cols].T  # (nch, cols)
-        out[i * nch : (i + 1) * nch] = block
-    return out
+    # (cols, nch, depth) view: [j, c, i] is channel c at time start + i + j
+    window = sliding_window_view(signal.samples[start : start + depth + cols - 1],
+                                 depth, axis=0)
+    return window.transpose(2, 1, 0).reshape(-1, cols).copy()
 
 
 def build_behavioral(dataset: Dataset, L0: int, N: int) -> BehavioralMatrices:
-    """Split the record into past/future block-Hankel matrices."""
+    """Split the record's depth-(L0 + N) windows into past/future rows."""
     L_total = L0 + N
     M = dataset.ns - L_total + 1
     if M < 1:
         raise OutOfRange(
             f"N_s={dataset.ns} too short for L0={L0}, N={N} (M'={M})"
         )
-    Up = block_hankel(dataset.u, L0, 0, M) if L0 > 0 else np.zeros((0, M))
-    Uf = block_hankel(dataset.u, N, L0, M)
-    Yp = block_hankel(dataset.y, L0, 0, M) if L0 > 0 else np.zeros((0, M))
-    Yf = block_hankel(dataset.y, N, L0, M)
-    return BehavioralMatrices(Up=Up, Uf=Uf, Yp=Yp, Yf=Yf, L0=L0, N=N)
+    U = block_hankel(dataset.u, L_total, 0, M)
+    Y = block_hankel(dataset.y, L_total, 0, M)
+    nu, ny = dataset.nu, dataset.ny
+    return BehavioralMatrices(Up=U[: L0 * nu], Uf=U[L0 * nu :],
+                              Yp=Y[: L0 * ny], Yf=Y[L0 * ny :], L0=L0, N=N)
 
 
 def check_persistency(U: np.ndarray, rank_rtol: float = 1e-10) -> tuple[bool, int]:
@@ -131,16 +129,13 @@ def check_persistency(U: np.ndarray, rank_rtol: float = 1e-10) -> tuple[bool, in
 def _ls_regression(dataset: Dataset, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Regression pair (U_reg, Y_reg) for the FIR fit y_t = sum_k h_k u_{t-k}.
 
-    Row t (t = N-1 .. N_s-1) of U_reg holds [u_t, u_{t-1}, ..., u_{t-N+1}].
+    Row t (t = N-1 .. N_s-1) of U_reg holds [u_t, u_{t-1}, ..., u_{t-N+1}]:
+    the depth-N input window with its block rows reversed, transposed.
     """
-    ns, nu = dataset.ns, dataset.nu
-    rows = ns - N + 1
-    U_reg = np.empty((rows, N * nu))
-    u = dataset.u.samples
-    for k in range(N):
-        U_reg[:, k * nu : (k + 1) * nu] = u[N - 1 - k : ns - k]
-    Y_reg = dataset.y.samples[N - 1 :]
-    return U_reg, Y_reg
+    nu = dataset.nu
+    window = block_hankel(dataset.u, N).reshape(N, nu, -1)[::-1]
+    U_reg = np.ascontiguousarray(window.reshape(N * nu, -1).T)
+    return U_reg, dataset.y.samples[N - 1 :]
 
 
 def estimate_markov_ls(dataset: Dataset, N: int,
@@ -163,11 +158,9 @@ def estimate_markov_ls(dataset: Dataset, N: int,
             f"regression matrix rank {rank} < {N * dataset.nu}"
         )
     H_stack, *_ = np.linalg.lstsq(U_reg, Y_reg, rcond=None)
-    nu, ny = dataset.nu, dataset.ny
-    blocks = np.empty((N, ny, nu))
-    for k in range(N):
-        blocks[k] = H_stack[k * nu : (k + 1) * nu, :].T
-    return MarkovSequence(blocks, ts=dataset.ts)
+    # row k * nu + j of H_stack is input j of h_k
+    blocks = H_stack.reshape(N, dataset.nu, dataset.ny).transpose(0, 2, 1)
+    return MarkovSequence(np.ascontiguousarray(blocks), ts=dataset.ts)
 
 
 def estimate_noise_variance(dataset: Dataset, h_ls: MarkovSequence, N: int,
@@ -188,10 +181,8 @@ def estimate_noise_variance(dataset: Dataset, h_ls: MarkovSequence, N: int,
         raise DegenerateDenominator(f"N={N_var} >= N_s={dataset.ns}")
     U_reg, Y_reg = _ls_regression(dataset, N_var)
     if N_var == N:
-        nu = dataset.nu
-        H_stack = np.empty((N * nu, dataset.ny))
-        for k in range(N):
-            H_stack[k * nu : (k + 1) * nu, :] = h_ls.blocks[k].T
+        H_stack = np.ascontiguousarray(
+            h_ls.blocks.transpose(0, 2, 1).reshape(N * dataset.nu, dataset.ny))
     else:
         H_stack, *_ = np.linalg.lstsq(U_reg, Y_reg, rcond=None)
     resid = U_reg @ H_stack - Y_reg
@@ -252,14 +243,13 @@ def n_max_bound(ns: int, nu: int, L0: int) -> int:
 
 def select_N(dataset: Dataset, L0: int, rank_rtol: float = 1e-10) -> int:
     """Horizon length: half the persistency bound, decremented until the
-    stacked input matrix [Up; Uf] has full row rank."""
+    depth-(L0 + N) input window [Up; Uf] has full row rank."""
     n_max = n_max_bound(dataset.ns, dataset.nu, L0)
     if n_max < 2:
         raise NoValidN(f"N_max={n_max} < 2 for N_s={dataset.ns}, L0={L0}")
     N = n_max // 2
     while N >= 1:
-        bm = build_behavioral(dataset, L0, N)
-        full, _ = check_persistency(bm.U, rank_rtol)
+        full, _ = check_persistency(block_hankel(dataset.u, L0 + N), rank_rtol)
         if full:
             return N
         N -= 1

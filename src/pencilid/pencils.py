@@ -43,15 +43,10 @@ class LoewnerPencil:
 
 @dataclass(frozen=True)
 class HankelPencil:
-    H: np.ndarray        # (m*ny, m*nu)
+    H: np.ndarray        # (m*ny, m*nu), block (i, j) is h_{i+j+1}
     Hs: np.ndarray
-    first_row_blocks: np.ndarray   # (m, ny, nu): h_1 .. h_m
-    h0: np.ndarray                 # (ny, nu)
+    h0: np.ndarray       # (ny, nu)
     ts: float = 1.0
-
-    @property
-    def m(self) -> int:
-        return self.first_row_blocks.shape[0]
 
     @property
     def ny(self) -> int:
@@ -206,8 +201,7 @@ def build_hankel(h: MarkovSequence) -> HankelPencil:
     # block (i, j) of H is h_{i+j+1}, of Hs h_{i+j+2}
     H, Hs = (h.blocks[idx + k].transpose(0, 2, 1, 3).reshape(m * ny, m * nu)
              for k in (1, 2))
-    return HankelPencil(H=H, Hs=Hs, first_row_blocks=h.blocks[1:m + 1].copy(),
-                        h0=h.blocks[0].copy(), ts=h.ts)
+    return HankelPencil(H=H, Hs=Hs, h0=h.blocks[0].copy(), ts=h.ts)
 
 
 def hankel_reduce(pencil: HankelPencil, r: int) -> DescriptorModel:
@@ -223,10 +217,9 @@ def hankel_reduce(pencil: HankelPencil, r: int) -> DescriptorModel:
     Yr = Vh[:r].T
     E = Xr.T @ pencil.H @ Yr
     A = Xr.T @ pencil.Hs @ Yr
-    row = np.hstack([pencil.first_row_blocks[k] for k in range(pencil.m)])
-    col = np.vstack([pencil.first_row_blocks[k] for k in range(pencil.m)])
-    C = row @ Yr
-    B = Xr.T @ col
+    # h_1 .. h_m: H's first block row gives C, its first block column B
+    C = pencil.H[: pencil.ny] @ Yr
+    B = Xr.T @ np.ascontiguousarray(pencil.H[:, : pencil.nu])
     return DescriptorModel(A=A, B=B, C=C, D=pencil.h0, E=E, ts=pencil.ts)
 
 

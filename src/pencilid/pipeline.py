@@ -45,8 +45,10 @@ from .lti import (
 )
 from .metrics import eval_grid_logspace, fit_percentage, h2_freq_error, h2_impulse_error
 from .pencils import (
+    SCHEMES,
     HankelPencil,
     LoewnerPencil,
+    SvdReport,
     build_hankel,
     build_loewner,
     hankel_reduce,
@@ -55,7 +57,7 @@ from .pencils import (
     save_singular_values,
     svd_order,
 )
-from .spectral import estimate_frf_spectral, markov_to_frequency
+from .spectral import FrequencySamples, estimate_frf_spectral, markov_to_frequency
 
 METHODS = ("smm-hf", "smm-lf", "ls-hf", "noisy-lf")
 
@@ -86,6 +88,8 @@ class PipelineConfig:
         for m in (self.method, *self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; use one of {METHODS}")
+        if self.partition_scheme not in ("combined", *SCHEMES):
+            raise ValueError(f"unknown partition scheme {self.partition_scheme!r}")
 
 
 @contextlib.contextmanager
@@ -122,66 +126,70 @@ def _tune(dataset: Dataset, tuning: TuningConfig,
     return out
 
 
-def _hankel_stage(h: MarkovSequence, cfg: PipelineConfig, report: dict):
-    """Hankel pencil of the coefficients and its gap order hint."""
-    with _step("step 3a: Hankel pencil"):
-        pencil = build_hankel(h)
-    with _step("step 3b: Hankel SVD"):
-        sv = svd_order(pencil, cfg.tuning.svd_threshold)
-    report["singular_values"] = {"hankel": sv.singular_values.tolist()}
-    return pencil, sv.order_gap
+def _estimate(dataset: Dataset, tuning: TuningConfig, estimator: str,
+              corr: Optional[np.ndarray] = None) -> tuple[MarkovSequence, dict]:
+    """Tuning stage, then the impulse estimate of ``estimator`` ("ls" or
+    "smm").  Returns the estimate and the tuning results."""
+    tune = _tune(dataset, tuning, corr)
+    if estimator == "ls":
+        return tune["h_ls"], tune
+    with _step("step 2: signal-matrix estimate"):
+        h = estimate_markov_smm(dataset, tune["L0"], tune["N"],
+                                tune["sigma2_hat"], tuning.rank_rtol)
+    return h, tune
 
 
-def _loewner_stage(samples, cfg: PipelineConfig, report: dict):
-    """Loewner pencil of the configured partition and its gap order hint;
-    the combined scheme takes the half-half hint and the alternate pencil."""
-    with _step("step 3b: half-half Loewner"):
-        pencil_hh = build_loewner(*partition(samples, "half-half"), scheme="half-half")
-        sv_hh = svd_order(pencil_hh, cfg.tuning.svd_threshold)
-    with _step("step 3d: alternate Loewner"):
-        pencil_alt = build_loewner(*partition(samples, "alternate"), scheme="alternate")
-        sv_alt = svd_order(pencil_alt, cfg.tuning.svd_threshold)
-    report["singular_values"] = {
-        "loewner_half_half": sv_hh.singular_values.tolist(),
-        "loewner_alternate": sv_alt.singular_values.tolist(),
-    }
-    if cfg.partition_scheme == "alternate":
-        return pencil_alt, sv_alt.order_gap
-    if cfg.partition_scheme == "half-half":
-        return pencil_hh, sv_hh.order_gap
-    return pencil_alt, sv_hh.order_gap
+def _pencil_stage(data: Union[MarkovSequence, FrequencySamples], scheme: str,
+                  svd_threshold: float) -> tuple[Union[HankelPencil, LoewnerPencil],
+                                                 SvdReport, dict]:
+    """Pencil of the data and the SVD report whose gap gives the order hint.
+
+    Impulse coefficients give the Hankel pencil; frequency samples give the
+    Loewner pencil of the partition ``scheme``, where ``combined`` takes the
+    alternate pencil and the half-half decay.  Also returns every decay the
+    stage computed, by name, for the run report.
+    """
+    if isinstance(data, MarkovSequence):
+        with _step("step 3a: Hankel pencil"):
+            pencil = build_hankel(data)
+        with _step("step 3b: Hankel SVD"):
+            sv = svd_order(pencil, svd_threshold)
+        return pencil, sv, {"hankel": sv.singular_values.tolist()}
+    model_scheme, hint_scheme = (("alternate", "half-half") if scheme == "combined"
+                                 else (scheme, scheme))
+    pencils, svs = {}, {}
+    for name, label in (("half-half", "step 3b: half-half Loewner"),
+                        ("alternate", "step 3d: alternate Loewner")):
+        if name in (model_scheme, hint_scheme):
+            with _step(label):
+                pencils[name] = build_loewner(*partition(data, name), scheme=name)
+                svs[name] = svd_order(pencils[name], svd_threshold)
+    decays = {f"loewner_{name.replace('-', '_')}": sv.singular_values.tolist()
+              for name, sv in svs.items()}
+    return pencils[model_scheme], svs[hint_scheme], decays
 
 
 def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,
          corr: Optional[np.ndarray] = None):
     """Everything of a run that does not depend on the reduction order:
     returns the pencil to truncate, its order hint, and the run report."""
-    report = {"method": method}
-    tune = _tune(dataset, cfg.tuning, corr)
-    report.update(
-        L0=tune["L0"], N=tune["N"], sigma2_hat=tune["sigma2_hat"]
-    )
-    if method in ("smm-hf", "smm-lf"):
-        with _step("step 2: signal-matrix estimate"):
-            h = estimate_markov_smm(
-                dataset, tune["L0"], tune["N"], tune["sigma2_hat"],
-                cfg.tuning.rank_rtol,
-            )
-    else:
-        h = tune["h_ls"]
-    report["h_estimate"] = h if method != "noisy-lf" else None
-
-    if method in ("smm-hf", "ls-hf"):
-        return (*_hankel_stage(h, cfg, report), report)
+    h, tune = _estimate(dataset, cfg.tuning,
+                        "smm" if method.startswith("smm") else "ls", corr)
+    report = {"method": method, "L0": tune["L0"], "N": tune["N"],
+              "sigma2_hat": tune["sigma2_hat"],
+              "h_estimate": h if method != "noisy-lf" else None}
+    data = h
     if method == "smm-lf":
         with _step("step 3a: FFT bridge"):
-            samples = markov_to_frequency(h)
-    else:  # noisy-lf
+            data = markov_to_frequency(h)
+    elif method == "noisy-lf":
         if dataset.nu != 1 or dataset.ny != 1:
             raise MethodUnsupported("noisy-lf requires single-input single-output data")
         with _step("spectral-ratio estimate"):
-            samples = estimate_frf_spectral(dataset, tune["N"])
-    return (*_loewner_stage(samples, cfg, report), report)
+            data = estimate_frf_spectral(dataset, tune["N"])
+    pencil, sv, report["singular_values"] = _pencil_stage(
+        data, cfg.partition_scheme, cfg.tuning.svd_threshold)
+    return pencil, sv.order_gap, report
 
 
 def _reduce(pencil: Union[HankelPencil, LoewnerPencil], order: Union[int, str],
@@ -372,13 +380,15 @@ def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
             for r in cfg.order_sweep:
                 try:
                     swept, _ = _reduce(pencil, int(r), hint)
+                    errors, _, _ = _model_metrics(swept, h_true, H_true_grid, grid_z)
                 except PencilIdError:
                     continue
-                errors, _, _ = _model_metrics(swept, h_true, H_true_grid, grid_z)
                 sweep_acc[r][0].append(errors["W_h"])
                 sweep_acc[r][1].append(errors["W_H"])
             try:
                 est_model, order = _reduce(pencil, cfg.order, hint)
+                errors, h_model, H_model = _model_metrics(est_model, h_true,
+                                                          H_true_grid, grid_z)
             except PencilIdError as exc:
                 rows.append({"seed": dataset.seed, "failed": str(exc)})
                 continue
@@ -388,12 +398,10 @@ def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
                 "N": N,
                 "sigma2_hat": run_report["sigma2_hat"],
                 "r": order,
+                **errors,
             }
             if run_report["h_estimate"] is not None:
                 row["W"] = fit_percentage(run_report["h_estimate"], h_true)
-            errors, h_model, H_model = _model_metrics(est_model, h_true,
-                                                      H_true_grid, grid_z)
-            row.update(errors)
             rows.append(row)
             for name, sv in run_report["singular_values"].items():
                 sv = np.asarray(sv)

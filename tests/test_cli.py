@@ -1,6 +1,7 @@
 """Command-line interface: subcommand chain, artifacts, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ def test_fft_svd_reduce_chain(workdir):
     assert run(["reduce", "hankel", "--markov", e / "impulse.csv",
                 "--order", 48, "--out", workdir / "rh"]) == 0
     assert load_model(workdir / "rh" / "model.json").n == 48
+
+
+def test_svd_combined_writes_half_half_decay(workdir):
+    f = workdir / "f" / "frequency.csv"
+    for part in ("combined", "half-half"):
+        assert run(["svd", "--frequency", f, "--partition", part,
+                    "--out", workdir / f"s-{part}"]) == 0
+    assert ((workdir / "s-combined" / "singular_values.csv").read_bytes()
+            == (workdir / "s-half-half" / "singular_values.csv").read_bytes())
+
+
+def test_svd_gap_order_is_reduce_auto_order(workdir, capsys):
+    f = workdir / "f" / "frequency.csv"
+    capsys.readouterr()
+    assert run(["svd", "--frequency", f, "--partition", "combined",
+                "--out", workdir / "sg"]) == 0
+    gap = re.search(r"suggested order (\d+) \(gap rule\)", capsys.readouterr().out)
+    assert run(["reduce", "loewner", "--frequency", f, "--partition", "combined",
+                "--order", "auto", "--out", workdir / "rla"]) == 0
+    assert load_model(workdir / "rla" / "model.json").n == int(gap.group(1))
 
 
 def test_run_pipeline(workdir):

@@ -20,6 +20,7 @@ from pencilid.dataio import generate_experiment
 from pencilid.errors import InsufficientLags
 from pencilid.estimation import (
     BehavioralMatrices,
+    _ls_regression,
     _smm_g,
     _smm_solver,
     block_hankel,
@@ -51,36 +52,57 @@ def test_block_hankel_multichannel_order():
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), ns=st.integers(20, 60),
-       L0=st.integers(1, 4), N=st.integers(2, 6))
-def test_behavioral_shapes(seed, ns, L0, N):
+       L0=st.integers(1, 4), N=st.integers(2, 6),
+       shape=st.sampled_from([(1, 1), (2, 2), (1, 2)]))
+def test_behavioral_shapes(seed, ns, L0, N, shape):
     rng = np.random.default_rng(0)
-    model = random_stable_model(rng, 2)
+    ny, nu = shape
+    model = random_stable_model(rng, 2, nu=nu, ny=ny)
     ds = noise_free_dataset(model, ns, seed=seed)
     bm = build_behavioral(ds, L0, N)
     M = ns - (L0 + N) + 1
-    assert bm.Up.shape == (L0, M)
-    assert bm.Uf.shape == (N, M)
-    assert bm.U.shape == (L0 + N, M)
-    # Every column is a contiguous record window.
+    assert bm.Up.shape == (L0 * nu, M) and bm.Yp.shape == (L0 * ny, M)
+    assert bm.Uf.shape == (N * nu, M) and bm.Yf.shape == (N * ny, M)
+    assert bm.U.shape == ((L0 + N) * nu, M)
+    # Every column is a contiguous record window, channels stacked per sample.
     j = min(2, M - 1)
-    assert np.array_equal(bm.Up[:, j], ds.u.samples[j : j + L0, 0])
-    assert np.array_equal(bm.Uf[:, j], ds.u.samples[j + L0 : j + L0 + N, 0])
+    for past, future, sig in ((bm.Up, bm.Uf, ds.u), (bm.Yp, bm.Yf, ds.y)):
+        assert np.array_equal(past[:, j], sig.samples[j : j + L0].reshape(-1))
+        assert np.array_equal(future[:, j],
+                              sig.samples[j + L0 : j + L0 + N].reshape(-1))
 
 
 # --- least squares -----------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), taps=st.integers(1, 6),
-       N=st.integers(7, 12))
-def test_ls_recovers_fir_exactly(seed, taps, N):
+       N=st.integers(7, 12), shape=st.sampled_from([(1, 1), (2, 3)]))
+def test_ls_recovers_fir_exactly(seed, taps, N, shape):
     rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=taps + 1)
-    model = fir_model(coeffs)
+    ny, nu = shape
+    coeffs = rng.normal(size=(taps + 1) * ny * nu)
+    model = fir_model(coeffs, nu=nu, ny=ny)
     ds = noise_free_dataset(model, 80, seed=seed)
     h = estimate_markov_ls(ds, N)
     h_true = exact_markov(model, N)
     scale = max(np.abs(h_true.blocks).max(), 1e-30)
     assert np.max(np.abs(h.blocks - h_true.blocks)) <= 1e-10 * scale
+
+
+def test_ls_regression_is_reversed_block_hankel():
+    # Loop reference: row t of U_reg is [u_{t+N-1}, ..., u_t], channels
+    # stacked per sample.
+    rng = np.random.default_rng(5)
+    for nu in (1, 3):
+        ds = noise_free_dataset(random_stable_model(rng, 2, nu=nu), 300)
+        u = ds.u.samples
+        for N in (5, 40, 116):
+            U_reg, Y_reg = _ls_regression(ds, N)
+            ref = np.empty((ds.ns - N + 1, N * nu))
+            for k in range(N):
+                ref[:, k * nu : (k + 1) * nu] = u[N - 1 - k : ds.ns - k]
+            assert np.array_equal(U_reg, ref) and U_reg.flags.c_contiguous
+            assert np.array_equal(Y_reg, ds.y.samples[N - 1 :])
 
 
 def test_ls_rejects_oversized_horizon():
@@ -94,10 +116,14 @@ def test_ls_rejects_oversized_horizon():
 
 def test_noise_variance_zero_iff_zero_residual():
     rng = np.random.default_rng(4)
-    model = fir_model(rng.normal(size=4))
-    ds = noise_free_dataset(model, 100, seed=1)
-    h = estimate_markov_ls(ds, 10)
-    assert estimate_noise_variance(ds, h, 10) == pytest.approx(0.0, abs=1e-22)
+    for ny, nu in ((1, 1), (2, 3)):
+        model = fir_model(rng.normal(size=4 * ny * nu), nu=nu, ny=ny)
+        ds = noise_free_dataset(model, 100, seed=1)
+        h = estimate_markov_ls(ds, 10)
+        # N_var = N reuses h; L0 = 20 solves a wider 21-tap fit
+        for L0 in (None, 20):
+            assert estimate_noise_variance(ds, h, 10, L0) == pytest.approx(
+                0.0, abs=1e-22)
 
 
 @settings(max_examples=100, deadline=None)

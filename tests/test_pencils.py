@@ -257,10 +257,12 @@ def test_hankel_reduce_scalar_oracle():
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-def test_hankel_exact_realization(seed, n):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       shape=st.sampled_from([(1, 1), (2, 3)]))
+def test_hankel_exact_realization(seed, n, shape):
     rng = np.random.default_rng(seed)
-    model = random_stable_model(rng, n, rho=0.85, with_d=True)
+    ny, nu = shape
+    model = random_stable_model(rng, n, nu=nu, ny=ny, rho=0.85, with_d=True)
     N = 2 * n + 4
     h = exact_markov(model, N)
     red = hankel_reduce(build_hankel(h), n)

@@ -180,6 +180,22 @@ def test_benchmark_order_sweep(small_benchmark):
         assert mean_W_h == np.mean(W_h)
 
 
+def test_benchmark_records_ill_conditioned_e():
+    # Order 48 of these records gives a reduced E with cond(E) > 1e12: a
+    # sweep order skips the records, the configured order fails their rows,
+    # and the campaign completes either way.
+    model = building_surrogate(ts=0.015)
+    cfg = PipelineConfig(methods=("smm-lf",), partition_scheme="half-half",
+                         realizations=2, base_seed=3, ns=600, sigma2=1e-7,
+                         order_sweep=(48,))
+    m = run_benchmark(model, cfg)["methods"]["smm-lf"]
+    assert m["failed"] == 0
+    assert m["order_sweep"]["mean_W_h"] == m["order_sweep"]["mean_W_H"] == [None]
+    m = run_benchmark(model, replace(cfg, order=48))["methods"]["smm-lf"]
+    assert m["failed"] == 2
+    assert all("cond(E)" in row["failed"] for row in m["realizations"])
+
+
 def test_benchmark_requires_discrete_model():
     with pytest.raises(MethodUnsupported):
         run_benchmark(building_surrogate(), _small_cfg())
@@ -190,3 +206,5 @@ def test_config_validation():
         PipelineConfig(method="nope")
     with pytest.raises(ValueError):
         PipelineConfig(realizations=0)
+    with pytest.raises(ValueError):
+        PipelineConfig(partition_scheme="nope")
