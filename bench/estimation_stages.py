@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Time the estimation stages of one SMM fit on long records.
+
+    python3 bench/estimation_stages.py --label change --out BENCH_x.json
+    python3 bench/estimation_stages.py --src ../base/src --label base --out BENCH_x.json
+
+Each repeat takes a fresh copy of every record (N_s = 2000, the building
+surrogate, output-noise variance 1e-7) and runs the stages in pipeline
+order: ``select_L0`` (untimed), ``select_N``, the LS estimate, the noise
+variance and the SMM estimate.  A stage's time is the median over repeats
+of its summed time over the records.  The labelled result is merged into
+``--out``, so two source trees measured in turn share one file.  BLAS is
+pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("select_N", "estimate_markov_ls", "estimate_noise_variance",
+          "estimate_markov_smm")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"),
+                    help="source tree holding the pencilid package")
+    ap.add_argument("--label", required=True, help="name of this measurement")
+    ap.add_argument("--out", required=True, help="JSON file to merge into")
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    args = ap.parse_args()
+    if args.repeats < 3:
+        ap.error("--repeats must be at least 3")
+
+    sys.path.insert(0, args.src)
+    import numpy as np
+    import scipy
+
+    from pencilid import estimation as est
+    from pencilid.dataio import Dataset, generate_experiment
+    from pencilid.lti import SignalSequence
+    from pencilid.pipeline import building_surrogate
+
+    model = building_surrogate(ts=0.015)
+    records = [generate_experiment(model, 2000, 1e-7, seed=s) for s in args.seeds]
+    L0s = [est.select_L0(est.cross_correlation(d)) for d in records]
+
+    def fresh(d):
+        # New signal objects: nothing computed by an earlier repeat is reused.
+        return Dataset(u=SignalSequence(d.u.samples, d.u.ts),
+                       y=SignalSequence(d.y.samples, d.y.ts))
+
+    totals = {name: [] for name in STAGES}
+    sizes = []
+    for rep in range(args.repeats + 1):  # the first pass warms up, untimed
+        spent = dict.fromkeys(STAGES, 0.0)
+
+        def timed(fn, *fn_args):
+            t = time.perf_counter()
+            value = fn(*fn_args)
+            spent[fn.__name__] += time.perf_counter() - t
+            return value
+
+        for record, L0 in zip(records, L0s):
+            d = fresh(record)
+            N = timed(est.select_N, d, L0)
+            h_ls = timed(est.estimate_markov_ls, d, N)
+            s2 = timed(est.estimate_noise_variance, d, h_ls, N, L0)
+            timed(est.estimate_markov_smm, d, L0, N, s2)
+            if rep == 0:
+                sizes.append({"seed": record.seed, "L0": L0, "N": N,
+                              "M'": d.ns - L0 - N + 1})
+        if rep:
+            for name in STAGES:
+                totals[name].append(spent[name])
+
+    result = {
+        "stages_s": {name: statistics.median(v) for name, v in totals.items()},
+        "total_s": statistics.median(map(sum, zip(*totals.values()))),
+        "runs_s": totals,
+    }
+    out = Path(args.out)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc["what"] = ("median over repeats of each estimation stage's time, "
+                   "summed over the records (seconds)")
+    doc["records"] = sizes
+    doc["repeats"] = args.repeats
+    doc["environment"] = {
+        "nproc": os.cpu_count(), "blas_threads": 1,
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "machine": platform.machine(),
+    }
+    doc.setdefault("results", {})[args.label] = result
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(json.dumps({args.label: result["stages_s"], "total_s": result["total_s"]}))
+
+
+if __name__ == "__main__":
+    main()

@@ -120,10 +120,25 @@ def check_persistency(U: np.ndarray, rank_rtol: float = 1e-10) -> tuple[bool, in
     """
     if U.size == 0:
         return U.shape[0] == 0, 0
-    s = np.linalg.svd(U, compute_uv=False)
-    tol = rank_rtol * s[0] * max(U.shape)
-    rank = int(np.count_nonzero(s > tol))
+    rank = _numerical_rank(np.linalg.svd(U, compute_uv=False), rank_rtol, max(U.shape))
     return rank == U.shape[0], rank
+
+
+def _numerical_rank(s: np.ndarray, rank_rtol: float, size: int) -> int:
+    """Number of singular values ``s`` (descending) above
+    ``rank_rtol * s[0] * size``."""
+    return int(np.count_nonzero(s > rank_rtol * s[0] * size))
+
+
+def _input_window_rank(dataset: Dataset, depth: int,
+                       rank_rtol: float) -> tuple[bool, int]:
+    """``check_persistency`` of the depth-``depth`` input window, taken once
+    per input signal: ``select_N`` and the SMM check the same window."""
+    memo = dataset.u.window_ranks
+    if (depth, rank_rtol) not in memo:
+        memo[depth, rank_rtol] = check_persistency(block_hankel(dataset.u, depth),
+                                                   rank_rtol)
+    return memo[depth, rank_rtol]
 
 
 def _ls_regression(dataset: Dataset, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +157,10 @@ def estimate_markov_ls(dataset: Dataset, N: int,
                        rank_rtol: float = 1e-10) -> MarkovSequence:
     """Least-squares FIR estimate of the first N Markov parameter blocks.
 
-    Solved with an SVD-based minimum-norm solver; the regression matrix must
-    have full column rank.
+    One QR factorization of [U_reg | Y_reg] serves both steps: the singular
+    values of its leading N nu triangular block are those of U_reg, which
+    must have full column rank (the ``check_persistency`` cutoff), and the
+    coefficients follow from a triangular solve.
     """
     if N < 1:
         raise OutOfRange("N must be >= 1")
@@ -152,12 +169,13 @@ def estimate_markov_ls(dataset: Dataset, N: int,
             f"N={N} too large for N_s={dataset.ns} (need N < (N_s+1)/2)"
         )
     U_reg, Y_reg = _ls_regression(dataset, N)
-    full, rank = check_persistency(U_reg.T, rank_rtol)
-    if not full:
-        raise RankDeficientRegressor(
-            f"regression matrix rank {rank} < {N * dataset.nu}"
-        )
-    H_stack, *_ = np.linalg.lstsq(U_reg, Y_reg, rcond=None)
+    n = N * dataset.nu
+    R = scipy.linalg.qr(np.hstack([U_reg, Y_reg]), mode="r", overwrite_a=True)[0]
+    rank = _numerical_rank(np.linalg.svd(R[:n, :n], compute_uv=False),
+                           rank_rtol, max(U_reg.shape))
+    if rank < n:
+        raise RankDeficientRegressor(f"regression matrix rank {rank} < {n}")
+    H_stack = scipy.linalg.solve_triangular(R[:n, :n], R[:n, n:])
     # row k * nu + j of H_stack is input j of h_k
     blocks = H_stack.reshape(N, dataset.nu, dataset.ny).transpose(0, 2, 1)
     return MarkovSequence(np.ascontiguousarray(blocks), ts=dataset.ts)
@@ -249,7 +267,7 @@ def select_N(dataset: Dataset, L0: int, rank_rtol: float = 1e-10) -> int:
         raise NoValidN(f"N_max={n_max} < 2 for N_s={dataset.ns}, L0={L0}")
     N = n_max // 2
     while N >= 1:
-        full, _ = check_persistency(block_hankel(dataset.u, L0 + N), rank_rtol)
+        full, _ = _input_window_rank(dataset, L0 + N, rank_rtol)
         if full:
             return N
         N -= 1
@@ -263,40 +281,57 @@ def select_N(dataset: Dataset, L0: int, rank_rtol: float = 1e-10) -> int:
 _SIGMA2_FLOOR_REL = 1e-12  # times ||Yp||_2^2, keeps the Gram matrix invertible
 
 
-def _smm_solver(bm: BehavioralMatrices, sigma2: float, rank_rtol: float = 1e-10):
-    """Factorized pieces of the saddle-point solution.
-
-    Returns (solve_F, FiUt, solve_S, U) where solve_F applies F^{-1} with
-    F = Yp'Yp + L' sigma2 I, and solve_S applies (U F^{-1} U')^{-1}.
-    """
-    U = bm.U
-    full, rank = check_persistency(U, rank_rtol)
+def _behavioral_checked(dataset: Dataset, L0: int, N: int,
+                        rank_rtol: float) -> BehavioralMatrices:
+    """``build_behavioral``, after checking that the input rows [Up; Uf] have
+    full row rank."""
+    bm = build_behavioral(dataset, L0, N)
+    full, rank = _input_window_rank(dataset, L0 + N, rank_rtol)
     if not full:
         raise NotPersistentlyExciting(
-            f"input data matrix rank {rank} < {U.shape[0]} rows"
+            f"input data matrix rank {rank} < {(L0 + N) * dataset.nu} rows"
         )
-    yp_norm = np.linalg.norm(bm.Yp, 2) if bm.Yp.size else 0.0
-    floor = max(_SIGMA2_FLOOR_REL * yp_norm**2, np.finfo(float).tiny)
+    return bm
+
+
+def _smm_solver(bm: BehavioralMatrices, sigma2: float):
+    """Factorized pieces of the saddle-point solution.
+
+    Returns (solve_FYp, FiUt, solve_S) for F = Yp'Yp + c I, c = L' sigma2:
+    solve_FYp applies F^{-1} Yp', FiUt = F^{-1} U', and solve_S applies
+    (U F^{-1} U')^{-1}.  The M' x M' matrix F is never formed.  With the
+    L0 ny square K = c I + Yp Yp', the Woodbury identity gives
+    F^{-1} = (I - Yp' K^{-1} Yp) / c, and F^{-1} Yp' = Yp' K^{-1}; the
+    factorizations are of K and of the (L0 + N) nu square U F^{-1} U'.
+    U must have full row rank.
+    """
+    Yp, U = bm.Yp, bm.U
+    G = Yp @ Yp.T
+    yp_norm2 = np.linalg.eigvalsh(G)[-1] if G.size else 0.0  # ||Yp||_2^2
+    floor = max(_SIGMA2_FLOOR_REL * yp_norm2, np.finfo(float).tiny)
     floored = sigma2 < floor
     if floored:
         sigma2 = floor
-    M = bm.cols
-    cF = None
-    while cF is None:
-        F = bm.Yp.T @ bm.Yp + bm.L_total * sigma2 * np.eye(M)
+    cK = None
+    while cK is None:
+        c = bm.L_total * sigma2
         try:
-            cF = scipy.linalg.cho_factor(F)
+            cK = scipy.linalg.cho_factor(G + c * np.eye(len(G)))
         except scipy.linalg.LinAlgError:
-            # The floor exists to keep F invertible; escalate it (a few
+            # The floor exists to keep K and F invertible; escalate it (a few
             # orders at most) before giving up.  User-supplied variances are
             # never overridden.
-            if floored and sigma2 < _SIGMA2_FLOOR_REL * 1e6 * yp_norm**2:
+            if floored and sigma2 < _SIGMA2_FLOOR_REL * 1e6 * yp_norm2:
                 sigma2 *= 100.0
                 continue
             raise IllConditionedSaddle(
                 "Gram matrix not positive definite; increase sigma2"
             ) from None
-    FiUt = scipy.linalg.cho_solve(cF, U.T)
+
+    def solve_FYp(y):
+        return Yp.T @ scipy.linalg.cho_solve(cK, y)
+
+    FiUt = (U.T - Yp.T @ scipy.linalg.cho_solve(cK, Yp @ U.T)) / c
     S = U @ FiUt
     S = 0.5 * (S + S.T)
     try:
@@ -306,24 +341,21 @@ def _smm_solver(bm: BehavioralMatrices, sigma2: float, rank_rtol: float = 1e-10)
             "saddle system U F^{-1} U' numerically singular; increase sigma2"
         ) from None
 
-    def solve_F(x):
-        return scipy.linalg.cho_solve(cF, x)
-
     def solve_S(x):
         return scipy.linalg.cho_solve(cS, x)
 
-    return solve_F, FiUt, solve_S
+    return solve_FYp, FiUt, solve_S
 
 
-def _smm_g(bm: BehavioralMatrices, solve_F, FiUt, solve_S,
+def _smm_g(bm: BehavioralMatrices, solve_FYp, FiUt, solve_S,
            u_ini: np.ndarray, y_ini: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Trajectory selector g for one right-hand side [u_ini; u] and y_ini."""
+    """Trajectory selector g = argmin g'Fg - 2 y_ini' Yp g subject to
+    U g = [u_ini; u]."""
     rhs_u = np.concatenate([u_ini, u])
     g = FiUt @ solve_S(rhs_u)
     if np.any(y_ini):
-        v = bm.Yp.T @ y_ini
-        Fv = solve_F(v)
-        g = g + Fv - FiUt @ solve_S(FiUt.T @ Fv)
+        Fv = solve_FYp(y_ini)
+        g = g + Fv - FiUt @ solve_S(bm.U @ Fv)
     return g
 
 
@@ -335,8 +367,8 @@ def estimate_markov_smm(dataset: Dataset, L0: int, N: int,
     initial windows and a unit impulse input; multi-input systems are handled
     with one impulse per input channel, filling the block columns.
     """
-    bm = build_behavioral(dataset, L0, N)
-    solve_F, FiUt, solve_S = _smm_solver(bm, sigma2, rank_rtol)
+    bm = _behavioral_checked(dataset, L0, N, rank_rtol)
+    solve_FYp, FiUt, solve_S = _smm_solver(bm, sigma2)
     nu, ny = dataset.nu, dataset.ny
     u_ini = np.zeros(L0 * nu)
     y_ini = np.zeros(L0 * ny)
@@ -344,7 +376,7 @@ def estimate_markov_smm(dataset: Dataset, L0: int, N: int,
     for j in range(nu):
         u = np.zeros(N * nu)
         u[j] = 1.0
-        g = _smm_g(bm, solve_F, FiUt, solve_S, u_ini, y_ini, u)
+        g = _smm_g(bm, solve_FYp, FiUt, solve_S, u_ini, y_ini, u)
         yhat = bm.Yf @ g
         blocks[:, :, j] = yhat.reshape(N, ny)
     return MarkovSequence(blocks, ts=dataset.ts)
@@ -368,7 +400,7 @@ def data_driven_response(dataset: Dataset, u_ini, y_ini, u,
     if y_ini.size // ny != L0:
         raise OutOfRange("u_ini and y_ini must cover the same past window")
     N = u.size // nu
-    bm = build_behavioral(dataset, L0, N)
-    solve_F, FiUt, solve_S = _smm_solver(bm, sigma2, rank_rtol)
-    g = _smm_g(bm, solve_F, FiUt, solve_S, u_ini, y_ini, u)
+    bm = _behavioral_checked(dataset, L0, N, rank_rtol)
+    solve_FYp, FiUt, solve_S = _smm_solver(bm, sigma2)
+    g = _smm_g(bm, solve_FYp, FiUt, solve_S, u_ini, y_ini, u)
     return (bm.Yf @ g).reshape(N, ny)

@@ -8,6 +8,7 @@ hold before any time-domain use.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -130,6 +131,13 @@ class SignalSequence:
     @property
     def channels(self) -> int:
         return self.samples.shape[1]
+
+    @functools.cached_property
+    def window_ranks(self) -> dict:
+        """Memo of the rank checks of this signal's data windows, keyed by
+        (depth, rank_rtol).  The samples are frozen at construction, so an
+        entry holds unless the caller writes to them through another view."""
+        return {}
 
 
 @dataclass(frozen=True)

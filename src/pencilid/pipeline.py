@@ -305,8 +305,9 @@ def _model_metrics(model: DescriptorModel, h_true: MarkovSequence,
                    H_true: np.ndarray, grid_z: np.ndarray):
     """W_h and W_H of a model against the truth's responses, with the
     model's impulse and frequency responses."""
-    h_model = impulse_response(model, len(h_true))
-    H_model = frequency_response(model, grid_z)
+    with _step("step 4: model evaluation"):
+        h_model = impulse_response(model, len(h_true))
+        H_model = frequency_response(model, grid_z)
     metrics = {
         "W_h": h2_impulse_error(h_model, h_true),
         "W_H": h2_freq_error(H_model, H_true),

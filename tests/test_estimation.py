@@ -2,23 +2,29 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencilid import (
     NoValidN,
+    NotPersistentlyExciting,
     OutOfRange,
+    RankDeficientRegressor,
     SignalSequence,
     cross_correlation,
+    data_driven_response,
     estimate_markov_ls,
     estimate_markov_smm,
     estimate_noise_variance,
     select_L0,
     select_N,
+    simulate,
 )
-from pencilid.dataio import generate_experiment
+from pencilid.dataio import Dataset, generate_experiment
 from pencilid.errors import InsufficientLags
 from pencilid.estimation import (
+    _SIGMA2_FLOOR_REL,
     BehavioralMatrices,
     _ls_regression,
     _smm_g,
@@ -103,6 +109,44 @@ def test_ls_regression_is_reversed_block_hankel():
                 ref[:, k * nu : (k + 1) * nu] = u[N - 1 - k : ds.ns - k]
             assert np.array_equal(U_reg, ref) and U_reg.flags.c_contiguous
             assert np.array_equal(Y_reg, ds.y.samples[N - 1 :])
+
+
+def _periodic_input_dataset(period, ns):
+    """Record driven by a repeated pattern: every input window has rank
+    ``period`` at most."""
+    rng = np.random.default_rng(0)
+    u = SignalSequence(np.tile(rng.normal(size=period), ns // period + 1)[:ns],
+                       ts=1.0)
+    y = simulate(random_stable_model(rng, 2), u)
+    return Dataset(u=u, y=y)
+
+
+def test_rank_deficient_input_is_rejected():
+    ds = _periodic_input_dataset(3, 200)
+    with pytest.raises(RankDeficientRegressor, match=r"regression matrix rank 3 < 10$"):
+        estimate_markov_ls(ds, 10)
+    with pytest.raises(NotPersistentlyExciting,
+                       match=r"input data matrix rank 3 < 14 rows$"):
+        estimate_markov_smm(ds, 4, 10, 1e-4)
+    with pytest.raises(NotPersistentlyExciting,
+                       match=r"input data matrix rank 3 < 14 rows$"):
+        data_driven_response(ds, np.zeros(4), np.zeros(4), np.zeros(10), 1e-4)
+
+
+def test_ls_rank_cutoff_is_check_persistency_cutoff():
+    # The fit is refused exactly when rank_rtol * s_max * max(U_reg.shape)
+    # passes the regressor's smallest singular value.
+    rng = np.random.default_rng(3)
+    ds = noise_free_dataset(random_stable_model(rng, 2), 60)
+    N = 8
+    U_reg, _ = _ls_regression(ds, N)
+    s = np.linalg.svd(U_reg, compute_uv=False)
+    edge = s[-1] / (s[0] * max(U_reg.shape))
+    assert check_persistency(U_reg.T, 0.9 * edge)[0]
+    estimate_markov_ls(ds, N, rank_rtol=0.9 * edge)
+    assert not check_persistency(U_reg.T, 1.1 * edge)[0]
+    with pytest.raises(RankDeficientRegressor, match=r"< 8$"):
+        estimate_markov_ls(ds, N, rank_rtol=1.1 * edge)
 
 
 def test_ls_rejects_oversized_horizon():
@@ -299,3 +343,59 @@ def test_smm_continuous_in_sigma2():
     scale = np.abs(estimates[0]).max()
     # No discontinuities: neighboring estimates stay close on a log sweep.
     assert max(diffs) <= 0.2 * scale
+
+
+def _dense_smm_prediction(ds, L0, N, sigma2, u_ini, y_ini, u):
+    """Yf g for g = argmin g'Fg - 2 y_ini' Yp g subject to U g = [u_ini; u],
+    with F = Yp'Yp + L' sigma2 I formed and factored explicitly.
+
+    In the floor regime F's smallest eigenvalue is ~1e-12 of its largest, so
+    rounding F alone moves the solution by ~1e-9; two steps of iterative
+    refinement against the unformed operator Yp'(Yp g) + c g remove that
+    for y_ini = 0.
+    """
+    bm = build_behavioral(ds, L0, N)
+    Yp, U = bm.Yp, bm.U
+    c = (L0 + N) * max(sigma2, _SIGMA2_FLOOR_REL * np.linalg.norm(Yp, 2) ** 2)
+    cF = scipy.linalg.cho_factor(Yp.T @ Yp + c * np.eye(bm.cols))
+    FiUt = scipy.linalg.cho_solve(cF, U.T)
+    cS = scipy.linalg.cho_factor(U @ FiUt)
+
+    def solve(r_g, r_u):
+        # [F -U'; U 0] [g; mu] = [r_g; r_u], by the Schur complement U F^-1 U'
+        Fr = scipy.linalg.cho_solve(cF, r_g)
+        mu = scipy.linalg.cho_solve(cS, r_u - U @ Fr)
+        return Fr + FiUt @ mu, mu
+
+    b_g, b_u = Yp.T @ y_ini, np.concatenate([u_ini, u])
+    g, mu = solve(b_g, b_u)
+    for _ in range(2):
+        dg, dmu = solve(b_g - (Yp.T @ (Yp @ g) + c * g - U.T @ mu), b_u - U @ g)
+        g, mu = g + dg, mu + dmu
+    return (bm.Yf @ g).reshape(N, ds.ny)
+
+
+@pytest.mark.parametrize("ny, nu", [(1, 1), (2, 3)])
+def test_smm_matches_dense_saddle_reference(ny, nu):
+    rng = np.random.default_rng(4)
+    model = random_stable_model(rng, 4, nu=nu, ny=ny, rho=0.8)
+    ds = generate_experiment(model, 300, 1e-4, seed=1)
+    L0, N = 5, 12
+
+    def assert_close(got, ref):
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    for sigma2 in (1e-4, 0.0):  # the noise level, and the floor regime
+        ref = [_dense_smm_prediction(ds, L0, N, sigma2, np.zeros(L0 * nu),
+                                     np.zeros(L0 * ny), np.eye(N * nu)[j])
+               for j in range(nu)]
+        assert_close(estimate_markov_smm(ds, L0, N, sigma2).blocks,
+                     np.stack(ref, axis=2))
+    # Initial windows from a second run of the system.  In the floor regime
+    # a nonzero y_ini is left out: there F's rounding moves the dense
+    # reference itself by ~1e-8.
+    run = generate_experiment(model, L0 + N, 1e-4, seed=2)
+    u_ini, y_ini = run.u.samples[:L0].ravel(), run.y.samples[:L0].ravel()
+    u = run.u.samples[L0:].ravel()
+    assert_close(data_driven_response(ds, u_ini, y_ini, u, 1e-4),
+                 _dense_smm_prediction(ds, L0, N, 1e-4, u_ini, y_ini, u))

@@ -57,6 +57,24 @@ def test_pipelines_noise_free_recovery():
     assert np.max(np.abs(h_got - h_true)) <= 1e-6 * np.abs(h_true).max()
 
 
+def test_smm_fit_takes_one_svd_of_the_input_window(monkeypatch):
+    # select_N and the SMM check the rank of the same depth-(L0 + N) input
+    # window; the fit takes its SVD once.
+    rng = np.random.default_rng(0)
+    ds = generate_experiment(random_stable_model(rng, 4, rho=0.8), 400, 1e-6, seed=1)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    _, report = run_smm_hf(ds, PipelineConfig(method="smm-hf"))
+    depth = report["L0"] + report["N"]
+    assert shapes.count((depth * ds.nu, ds.ns - depth + 1)) == 1
+
+
 def test_baseline_rejects_non_baseline_method():
     rng = np.random.default_rng(0)
     ds = noise_free_dataset(random_stable_model(rng, 2), 100)
@@ -193,7 +211,8 @@ def test_benchmark_records_ill_conditioned_e():
     assert m["order_sweep"]["mean_W_h"] == m["order_sweep"]["mean_W_H"] == [None]
     m = run_benchmark(model, replace(cfg, order=48))["methods"]["smm-lf"]
     assert m["failed"] == 2
-    assert all("cond(E)" in row["failed"] for row in m["realizations"])
+    assert all(row["failed"].startswith("[step 4: model evaluation] cond(E)")
+               for row in m["realizations"])
 
 
 def test_benchmark_requires_discrete_model():
