@@ -147,7 +147,7 @@ def _cmd_svd(args) -> int:
         data, kind = load_frequency_samples(args.frequency), "loewner"
     else:
         raise PencilIdError("pass --markov (Hankel) or --frequency (Loewner)")
-    _, report, _ = _pencil_stage(data, args.partition, TuningConfig().svd_threshold)
+    _, report, _ = _pencil_stage(data, args.partition)
     out = _out_dir(args)
     save_singular_values(report.singular_values, out / "singular_values.csv")
     print(f"{kind} matrix: {len(report.singular_values)} singular values, "
@@ -166,7 +166,7 @@ def _cmd_reduce(args) -> int:
         if not args.frequency:
             raise PencilIdError("reduce loewner needs --frequency")
         data, reduce = load_frequency_samples(args.frequency), loewner_reduce
-    pencil, sv, _ = _pencil_stage(data, args.partition, TuningConfig().svd_threshold)
+    pencil, sv, _ = _pencil_stage(data, args.partition)
     model = reduce(pencil, sv.order_gap if args.order == "auto" else int(args.order))
     out = _out_dir(args)
     save_model(model, out / "model.json")

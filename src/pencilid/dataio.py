@@ -2,14 +2,12 @@
 
 Random-excitation experiments use numpy's PCG64 generator seeded explicitly,
 so a dataset is a pure function of (model, N_s, sigma2, seed) and replays
-bit-identically across runs.  Datasets persist as CSV plus a ``.meta.json``
-sidecar; floats are written with ``repr`` (shortest round-trip decimal), so
-save/load is lossless.
+bit-identically across runs.  Datasets persist as a :mod:`.tables` CSV plus a
+``.meta.json`` sidecar, so save/load is lossless.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, FormatError
 from .lti import DescriptorModel, SignalSequence, simulate
+from .tables import channel_header, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -99,19 +98,9 @@ def _meta_path(path) -> Path:
 
 def save_dataset(dataset: Dataset, path) -> None:
     path = Path(path)
-    header = (
-        ["k"]
-        + [f"u_{i + 1}" for i in range(dataset.nu)]
-        + [f"y_{i + 1}" for i in range(dataset.ny)]
-    )
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for k in range(dataset.ns):
-            row = [str(k)]
-            row += [repr(float(v)) for v in dataset.u.samples[k]]
-            row += [repr(float(v)) for v in dataset.y.samples[k]]
-            writer.writerow(row)
+    samples = np.hstack([dataset.u.samples, dataset.y.samples]).tolist()
+    write_table(path, channel_header("dataset", dataset.ny, dataset.nu),
+                ([k, *row] for k, row in enumerate(samples)))
     meta = {
         "ts": dataset.ts,
         "sigma2_true": dataset.sigma2_true,
@@ -134,35 +123,10 @@ def load_dataset(path) -> Dataset:
         meta = {}
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: line {exc.lineno}, col {exc.colno}: {exc.msg}")
-
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        nu = sum(1 for name in header if name.startswith("u_"))
-        ny = sum(1 for name in header if name.startswith("y_"))
-        if not header or header[0] != "k" or nu < 1 or ny < 1:
-            raise FormatError(f"{path}: header must be k,u_1,...,y_1,...")
-        u_rows, y_rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 1 + nu + ny:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {1 + nu + ny} columns, got {len(row)}"
-                )
-            try:
-                u_rows.append([float(v) for v in row[1 : 1 + nu]])
-                y_rows.append([float(v) for v in row[1 + nu :]])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if not u_rows:
-        raise FormatError(f"{path}: no data rows")
+    (_, nu), table, _ = read_table(path, "dataset")
     ts = float(meta.get("ts", 1.0))
-    u = SignalSequence(np.array(u_rows), ts=ts)
-    y = SignalSequence(np.array(y_rows), ts=ts)
+    u = SignalSequence(table[:, 1:1 + nu].copy(), ts=ts)
+    y = SignalSequence(table[:, 1 + nu:].copy(), ts=ts)
     try:
         return Dataset(
             u=u,

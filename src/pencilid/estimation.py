@@ -37,8 +37,6 @@ class TuningConfig:
     """Knobs for the hyper-parameter rules; explicit values override the rules."""
 
     alpha: float = 0.4              # margin on the negative-lag correlation level
-    svd_threshold: float = 1e-8     # relative singular-value cut for order hints
-    rank_rtol: float = 1e-10        # relative tolerance for numerical rank
     L0: Optional[int] = None
     N: Optional[int] = None
     sigma2: Optional[float] = None
@@ -46,8 +44,6 @@ class TuningConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.svd_threshold <= 0 or self.rank_rtol <= 0:
-            raise ValueError("thresholds must be positive")
 
 
 @dataclass(frozen=True)

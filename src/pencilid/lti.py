@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, FormatError, PoleHit, SingularE
+from .tables import channel_header, read_table, write_table
 
 CONTINUOUS = "continuous"
 
@@ -389,24 +390,11 @@ def load_model(path) -> DescriptorModel:
 
 
 def save_markov(h: MarkovSequence, path) -> None:
-    """CSV export of impulse-response blocks: one row per step k."""
-    import csv
-
-    header = ["k"]
-    for i in range(h.ny):
-        for j in range(h.nu):
-            header.append(f"h_{i + 1}_{j + 1}")
-    header.append("ts")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for k in range(len(h)):
-            row = [str(k)]
-            for i in range(h.ny):
-                for j in range(h.nu):
-                    row.append(repr(float(h.blocks[k, i, j])))
-            row.append(repr(float(h.ts)) if k == 0 else "")
-            writer.writerow(row)
+    """CSV export of impulse-response blocks: one row per step k, the
+    channels ``h_i_j`` row by row, the sample period in the ``ts`` column."""
+    write_table(path, channel_header("markov", h.ny, h.nu),
+                ([k, *row] for k, row in enumerate(h.blocks.reshape(len(h), -1).tolist())),
+                ts=h.ts)
 
 
 def load_markov(path) -> MarkovSequence:
@@ -414,36 +402,6 @@ def load_markov(path) -> MarkovSequence:
 
     Channel dimensions are recovered from the ``h_i_j`` column labels.
     """
-    import csv
-
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        labels = [c.split("_")[1:] for c in header if c.startswith("h_")]
-        if not labels or header[0] != "k" or header[-1] != "ts":
-            raise FormatError(f"{path}: header must be k,h_1_1,...,ts")
-        ny = max(int(i) for i, _ in labels)
-        nu = max(int(j) for _, j in labels)
-        if len(labels) != ny * nu:
-            raise FormatError(f"{path}: inconsistent channel labels {header[1:-1]}")
-        rows, ts = [], None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {len(header)} columns"
-                )
-            try:
-                rows.append([float(v) for v in row[1:-1]])
-                if row[-1]:
-                    ts = float(row[-1])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}: no coefficient rows")
-    blocks = np.asarray(rows).reshape(len(rows), ny, nu)
+    (ny, nu), table, ts = read_table(path, "markov")
+    blocks = table[:, 1:].reshape(len(table), ny, nu)
     return MarkovSequence(blocks=blocks, ts=ts if ts is not None else 1.0)

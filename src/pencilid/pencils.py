@@ -8,7 +8,6 @@ matrix alone, so no polynomial (D-term) behavior is forced into the model.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import DimensionError, OrderError, PointCollision
 from .lti import DescriptorModel, MarkovSequence
 from .spectral import FrequencySamples
+from .tables import write_table
 
 SCHEMES = ("alternate", "half-half")
 
@@ -147,6 +147,9 @@ def svd_order(obj: Union[np.ndarray, LoewnerPencil, HankelPencil],
         M = np.asarray(obj)
     if M.size == 0 or not np.any(M):
         raise DimensionError("matrix is zero; no order to reveal")
+    # A values-only SVD rather than the pencil's cached full one: the full
+    # (divide-and-conquer) values are accurate only to about eps * s[0], and
+    # a decay is read below that (acceptance criterion 5's half-half drop).
     s = np.linalg.svd(M, compute_uv=False)
     normalized = s / s[0]
     order_threshold = max(1, int(np.count_nonzero(normalized >= svd_threshold)))
@@ -226,8 +229,5 @@ def hankel_reduce(pencil: HankelPencil, r: int) -> DescriptorModel:
 def save_singular_values(s: np.ndarray, path) -> None:
     """CSV export of a singular-value decay: index, sigma, sigma/sigma_1."""
     s = np.asarray(s, dtype=float)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["index", "sigma", "sigma_normalized"])
-        for i, v in enumerate(s, start=1):
-            writer.writerow([i, repr(float(v)), repr(float(v / s[0]))])
+    write_table(path, ["index", "sigma", "sigma_normalized"],
+                ([i, v, v / s[0]] for i, v in enumerate(s.tolist(), start=1)))

@@ -15,7 +15,6 @@ the residual of a least-squares fit that spans the correlation support.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import time
 from dataclasses import dataclass, field
@@ -58,6 +57,7 @@ from .pencils import (
     svd_order,
 )
 from .spectral import FrequencySamples, estimate_frf_spectral, markov_to_frequency
+from .tables import write_table
 
 METHODS = ("smm-hf", "smm-lf", "ls-hf", "noisy-lf")
 
@@ -74,11 +74,9 @@ class PipelineConfig:
     base_seed: int = 0
     ns: int = 1000
     sigma2: float = 0.0
-    input_std: float = 1.0
     grid_wmin: float = 1.0
     grid_wmax: float = 100.0
     grid_count: int = 200
-    averaged_correlation: bool = True
     order_sweep: tuple = ()
     methods: tuple = ()   # benchmark: methods to compare; empty = (method,)
 
@@ -114,11 +112,9 @@ def _tune(dataset: Dataset, tuning: TuningConfig,
                 corr = cross_correlation(dataset)
             out["L0"] = select_L0(corr, tuning.alpha)
     with _step("step 1b: horizon length"):
-        out["N"] = tuning.N if tuning.N is not None else select_N(
-            dataset, out["L0"], tuning.rank_rtol
-        )
+        out["N"] = tuning.N if tuning.N is not None else select_N(dataset, out["L0"])
     with _step("step 1c: least-squares estimate"):
-        out["h_ls"] = estimate_markov_ls(dataset, out["N"], tuning.rank_rtol)
+        out["h_ls"] = estimate_markov_ls(dataset, out["N"])
         out["sigma2_hat"] = (
             tuning.sigma2 if tuning.sigma2 is not None
             else estimate_noise_variance(dataset, out["h_ls"], out["N"], out["L0"])
@@ -134,14 +130,12 @@ def _estimate(dataset: Dataset, tuning: TuningConfig, estimator: str,
     if estimator == "ls":
         return tune["h_ls"], tune
     with _step("step 2: signal-matrix estimate"):
-        h = estimate_markov_smm(dataset, tune["L0"], tune["N"],
-                                tune["sigma2_hat"], tuning.rank_rtol)
+        h = estimate_markov_smm(dataset, tune["L0"], tune["N"], tune["sigma2_hat"])
     return h, tune
 
 
-def _pencil_stage(data: Union[MarkovSequence, FrequencySamples], scheme: str,
-                  svd_threshold: float) -> tuple[Union[HankelPencil, LoewnerPencil],
-                                                 SvdReport, dict]:
+def _pencil_stage(data: Union[MarkovSequence, FrequencySamples],
+                  scheme: str) -> tuple[Union[HankelPencil, LoewnerPencil], SvdReport, dict]:
     """Pencil of the data and the SVD report whose gap gives the order hint.
 
     Impulse coefficients give the Hankel pencil; frequency samples give the
@@ -153,7 +147,7 @@ def _pencil_stage(data: Union[MarkovSequence, FrequencySamples], scheme: str,
         with _step("step 3a: Hankel pencil"):
             pencil = build_hankel(data)
         with _step("step 3b: Hankel SVD"):
-            sv = svd_order(pencil, svd_threshold)
+            sv = svd_order(pencil)
         return pencil, sv, {"hankel": sv.singular_values.tolist()}
     model_scheme, hint_scheme = (("alternate", "half-half") if scheme == "combined"
                                  else (scheme, scheme))
@@ -163,7 +157,7 @@ def _pencil_stage(data: Union[MarkovSequence, FrequencySamples], scheme: str,
         if name in (model_scheme, hint_scheme):
             with _step(label):
                 pencils[name] = build_loewner(*partition(data, name), scheme=name)
-                svs[name] = svd_order(pencils[name], svd_threshold)
+                svs[name] = svd_order(pencils[name])
     decays = {f"loewner_{name.replace('-', '_')}": sv.singular_values.tolist()
               for name, sv in svs.items()}
     return pencils[model_scheme], svs[hint_scheme], decays
@@ -187,8 +181,7 @@ def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,
             raise MethodUnsupported("noisy-lf requires single-input single-output data")
         with _step("spectral-ratio estimate"):
             data = estimate_frf_spectral(dataset, tune["N"])
-    pencil, sv, report["singular_values"] = _pencil_stage(
-        data, cfg.partition_scheme, cfg.tuning.svd_threshold)
+    pencil, sv, report["singular_values"] = _pencil_stage(data, cfg.partition_scheme)
     return pencil, sv.order_gap, report
 
 
@@ -332,13 +325,12 @@ def run_benchmark(model: DescriptorModel, cfg: PipelineConfig,
     methods = cfg.methods or (cfg.method,)
     R = cfg.realizations
     datasets = [
-        generate_experiment(model, cfg.ns, cfg.sigma2, seed=cfg.base_seed + i,
-                            input_std=cfg.input_std)
+        generate_experiment(model, cfg.ns, cfg.sigma2, seed=cfg.base_seed + i)
         for i in range(R)
     ]
 
     corr = None
-    if cfg.averaged_correlation and cfg.tuning.L0 is None:
+    if cfg.tuning.L0 is None:
         corr = np.mean([cross_correlation(d) for d in datasets], axis=0)
 
     grid_omega, grid_z = eval_grid_logspace(
@@ -485,61 +477,34 @@ def _emit_artifacts(report: dict, emitted_model, truth: DescriptorModel,
         name = sorted(svs)[0]
         save_singular_values(np.asarray(svs[name]), out_dir / "singular_values.csv")
 
-    with open(out_dir / "boxplot.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "metric", "min", "q25", "median", "q75",
-                         "max", "outliers"])
-        for method, m in report["methods"].items():
-            for metric, q in m.get("boxplot", {}).items():
-                writer.writerow([
-                    method, metric, repr(q["min"]), repr(q["q25"]),
-                    repr(q["median"]), repr(q["q75"]), repr(q["max"]),
-                    ";".join(repr(v) for v in q["outliers"]),
-                ])
+    write_table(out_dir / "boxplot.csv",
+                ["method", "metric", "min", "q25", "median", "q75", "max", "outliers"],
+                ([method, metric, q["min"], q["q25"], q["median"], q["q75"], q["max"],
+                  ";".join(repr(v) for v in q["outliers"])]
+                 for method, m in report["methods"].items()
+                 for metric, q in m.get("boxplot", {}).items()))
 
-    with open(out_dir / "impulse.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        methods = [m for m in report["methods"] if "mean_impulse" in report["methods"][m]]
-        writer.writerow(["k"] + [f"h_{m}" for m in methods] + ["h_true"])
-        if methods:
-            mean_h = {m: np.asarray(report["methods"][m]["mean_impulse"]) for m in methods}
-            n = min(len(v) for v in mean_h.values())
-            h_true = impulse_response(truth, n)
-            for k in range(n):
-                row = [k] + [repr(float(mean_h[m][k, 0, 0])) for m in methods]
-                row.append(repr(float(h_true.blocks[k, 0, 0])))
-                writer.writerow(row)
+    methods = [m for m in report["methods"] if "mean_impulse" in report["methods"][m]]
+    rows = []
+    if methods:
+        mean_h = [np.asarray(report["methods"][m]["mean_impulse"])[:, 0, 0] for m in methods]
+        n = min(len(v) for v in mean_h)
+        h_true = impulse_response(truth, n).blocks[:, 0, 0]
+        rows = ([k, *row] for k, row in enumerate(
+            np.column_stack([v[:n] for v in mean_h] + [h_true]).tolist()))
+    write_table(out_dir / "impulse.csv",
+                ["k"] + [f"h_{m}" for m in methods] + ["h_true"], rows)
 
-    with open(out_dir / "frf.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        methods = [m for m in report["methods"] if "mean_frf" in report["methods"][m]]
-        writer.writerow(
-            ["omega"]
-            + [c for m in methods for c in (f"re(H_{m})", f"im(H_{m})")]
-            + ["re(H_true)", "im(H_true)"]
-        )
-        omega = report["true_frf"]["omega_rad_s"]
-        for k in range(len(omega)):
-            row = [repr(float(omega[k]))]
-            for m in methods:
-                frf = report["methods"][m]["mean_frf"]
-                row += [repr(float(frf["re"][k][0][0])), repr(float(frf["im"][k][0][0]))]
-            row += [
-                repr(float(report["true_frf"]["re"][k][0][0])),
-                repr(float(report["true_frf"]["im"][k][0][0])),
-            ]
-            writer.writerow(row)
+    methods = [m for m in report["methods"] if "mean_frf" in report["methods"][m]]
+    frfs = [report["methods"][m]["mean_frf"] for m in methods] + [report["true_frf"]]
+    columns = [np.asarray(frf[part])[:, 0, 0] for frf in frfs for part in ("re", "im")]
+    write_table(out_dir / "frf.csv",
+                ["omega"] + [c for m in methods + ["true"]
+                             for c in (f"re(H_{m})", f"im(H_{m})")],
+                np.column_stack([report["true_frf"]["omega_rad_s"], *columns]).tolist())
 
-    with open(out_dir / "order_sweep.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "r", "mean_W_h", "mean_W_H"])
-        for method, m in report["methods"].items():
-            sweep = m.get("order_sweep")
-            if not sweep:
-                continue
-            for i, r in enumerate(sweep["orders"]):
-                writer.writerow([
-                    method, r,
-                    repr(sweep["mean_W_h"][i]) if sweep["mean_W_h"][i] is not None else "",
-                    repr(sweep["mean_W_H"][i]) if sweep["mean_W_H"][i] is not None else "",
-                ])
+    sweeps = [(method, m["order_sweep"]) for method, m in report["methods"].items()
+              if "order_sweep" in m]
+    write_table(out_dir / "order_sweep.csv", ["method", "r", "mean_W_h", "mean_W_H"],
+                ([method, *row] for method, sw in sweeps
+                 for row in zip(sw["orders"], sw["mean_W_h"], sw["mean_W_H"])))

@@ -3,15 +3,14 @@ the plain spectral-ratio frequency-response estimator used as a baseline."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .dataio import Dataset
-from .errors import DimensionError, MethodUnsupported, SpectralDivisionError
+from .errors import DimensionError, FormatError, MethodUnsupported, SpectralDivisionError
 from .lti import MarkovSequence
+from .tables import channel_header, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,11 @@ def estimate_frf_spectral(dataset: Dataset, n_grid: int) -> FrequencySamples:
         raise MethodUnsupported("spectral-ratio estimator is single-channel only")
     if n_grid < 2:
         raise DimensionError("grid needs at least 2 points")
-    u = dataset.u.samples[:, 0]
-    y = dataset.y.samples[:, 0]
-    if n_grid == dataset.ns:
-        U = np.fft.fft(u)
-        Y = np.fft.fft(y)
-    else:
-        # z-transform of the full record on an arbitrary N-point circle grid
-        w = np.exp(-2j * np.pi / n_grid)
-        U = scipy.signal.czt(u, m=n_grid, w=w)
-        Y = scipy.signal.czt(y, m=n_grid, w=w)
+    # The z-transform of the full record on the grid, sum_n x_n e^{-2 pi i k n/N},
+    # depends on n only modulo N: fold the record onto N samples, take one FFT.
+    uy = np.hstack([dataset.u.samples, dataset.y.samples])
+    uy = np.pad(uy, ((0, -dataset.ns % n_grid), (0, 0)))
+    U, Y = np.fft.fft(uy.reshape(-1, n_grid, 2).sum(axis=0), axis=0).T
     Suu = (U * np.conj(U)).real / dataset.ns
     Syu = Y * np.conj(U) / dataset.ns
     bad = Suu <= 1e-14 * np.max(Suu)
@@ -115,64 +109,20 @@ def save_frequency_samples(samples: FrequencySamples, path) -> None:
     """CSV export: one row per grid point, re/im columns per channel pair
     (``re(H_i_j)``, ``im(H_i_j)``), and the sample period in a trailing
     ``ts`` column of the first row."""
-    header = ["omega"]
-    for i in range(samples.ny):
-        for j in range(samples.nu):
-            header += [f"re(H_{i + 1}_{j + 1})", f"im(H_{i + 1}_{j + 1})"]
-    header.append("ts")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for k in range(len(samples)):
-            row = [repr(float(samples.omega[k]))]
-            for i in range(samples.ny):
-                for j in range(samples.nu):
-                    v = samples.values[k, i, j]
-                    row += [repr(float(v.real)), repr(float(v.imag))]
-            row.append(repr(float(samples.ts)) if k == 0 else "")
-            writer.writerow(row)
+    values = samples.values.reshape(len(samples), -1)
+    reim = np.stack([values.real, values.imag], axis=-1).reshape(len(samples), -1)
+    write_table(path, channel_header("frequency", samples.ny, samples.nu),
+                ([w, *row] for w, row in zip(samples.omega.tolist(), reim.tolist())),
+                ts=samples.ts)
 
 
 def load_frequency_samples(path) -> FrequencySamples:
     """Read unit-circle samples written by :func:`save_frequency_samples`."""
-    from .errors import FormatError
-
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        labels = [c[5:-1].split("_") for c in header if c.startswith("re(H_")]
-        if not labels or header[0] != "omega" or header[-1] != "ts":
-            raise FormatError(
-                f"{path}: header must be omega,re(H_1_1),im(H_1_1),...,ts")
-        ny = max(int(i) for i, _ in labels)
-        nu = max(int(j) for _, j in labels)
-        omega, values, ts = [], [], None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 + 2 * ny * nu:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {2 + 2 * ny * nu} columns"
-                )
-            try:
-                omega.append(float(row[0]))
-                flat = [float(v) for v in row[1:-1]]
-                if row[-1]:
-                    ts = float(row[-1])
-            except ValueError as exc:
-                raise FormatError(f"{path}: line {lineno}: {exc}") from None
-            re = np.asarray(flat[0::2]).reshape(ny, nu)
-            im = np.asarray(flat[1::2]).reshape(ny, nu)
-            values.append(re + 1j * im)
-    if not omega:
-        raise FormatError(f"{path}: no sample rows")
-    omega = np.asarray(omega)
+    (ny, nu), table, ts = read_table(path, "frequency")
+    omega = table[:, 0].copy()
+    values = (table[:, 1::2] + 1j * table[:, 2::2]).reshape(len(table), ny, nu)
     try:
-        return FrequencySamples(points=np.exp(1j * omega),
-                                values=np.asarray(values), omega=omega,
+        return FrequencySamples(points=np.exp(1j * omega), values=values, omega=omega,
                                 ts=ts if ts is not None else 1.0)
     except DimensionError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -1,11 +1,16 @@
 """Experiment generation determinism and dataset persistence."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pencilid import FormatError, generate_experiment, load_dataset, save_dataset
+import pencilid
+from pencilid import (FormatError, generate_experiment, load_dataset,
+                      load_frequency_samples, load_markov, save_dataset)
 from conftest import random_stable_model
 
 
@@ -71,16 +76,67 @@ def test_roundtrip_exact_property(seed, ns, tmp_path_factory):
 
 
 def test_load_errors(tmp_path):
+    # Per loader: an empty file, a ragged row, a non-numeric cell, no data
+    # rows, a missing ts column, and headers that would load columns into the
+    # wrong place (reordered, misnumbered or missing channels).
+    cases = {
+        load_dataset: [
+            "",
+            "k,u_1,y_1\n0,1.0\n",
+            "k,u_1,y_1\n0,1.0,zap\n",
+            "k,u_1,y_1\n",
+            "time,u_1,y_1\n0,1.0,2.0\n",
+            "k,y_1,u_1\n0,1.0,2.0\n1,3.0,4.0\n",
+            "k,u_1,u_2,y_2\n0,1.0,2.0,3.0\n1,4.0,5.0,6.0\n",
+            "k,u_1\n0,1.0\n",
+        ],
+        load_markov: [
+            "",
+            "k,h_1_1,ts\n0,1.0\n",
+            "k,h_1_1,ts\n0,zap,1.0\n",
+            "k,h_1_1,ts\n",
+            "k,h_1_1\n0,1.0\n",
+            "k,h_1_2,h_1_1,ts\n0,1.0,2.0,1.0\n",
+            "k,h_1_1,h_1_3,ts\n0,1.0,2.0,1.0\n",
+            "k,h_1_1,h_2_2,ts\n0,1.0,2.0,1.0\n",
+        ],
+        load_frequency_samples: [
+            "",
+            "omega,re(H_1_1),im(H_1_1),ts\n0.0,1.0\n",
+            "omega,re(H_1_1),im(H_1_1),ts\n0.0,1.0,zap,1.0\n",
+            "omega,re(H_1_1),im(H_1_1),ts\n",
+            "omega,re(H_1_1),im(H_1_1)\n0.0,1.0,0.0\n",
+            "omega,im(H_1_1),re(H_1_1),ts\n0.0,1.0,2.0,1.0\n",
+            "omega,re(H_1_1),im(H_1_1),re(H_1_1),im(H_1_1),ts\n0.0,1.0,0.0,1.0,0.0,1.0\n",
+        ],
+    }
     path = tmp_path / "bad.csv"
-    path.write_text("")
-    with pytest.raises(FormatError):
+    for load, texts in cases.items():
+        for text in texts:
+            path.write_text(text)
+            with pytest.raises(FormatError):
+                load(path)
+    # row errors name their line
+    path.write_text("k,u_1,y_1\n0,1.0,2.0\n\n1,1.0,zap\n")
+    with pytest.raises(FormatError, match="line 4"):
         load_dataset(path)
-    path.write_text("k,u_1,y_1\n0,1.0\n")
-    with pytest.raises(FormatError):
-        load_dataset(path)
-    path.write_text("k,u_1,y_1\n0,1.0,zap\n")
-    with pytest.raises(FormatError):
-        load_dataset(path)
-    path.write_text("time,u_1,y_1\n")
-    with pytest.raises(FormatError):
-        load_dataset(path)
+    path.write_text("k,h_1_1,ts\n0,1.0,1.0\n1,2.0\n")
+    with pytest.raises(FormatError, match="line 3"):
+        load_markov(path)
+
+
+def test_only_tables_imports_csv():
+    # The CSV format is decided in one module; any other module that imports
+    # csv is a second reader or writer.
+    importers = set()
+    for path in Path(pencilid.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.add(path.name)
+    assert importers == {"tables.py"}

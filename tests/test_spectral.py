@@ -66,20 +66,22 @@ def test_spectral_ratio_oracle():
     rng = np.random.default_rng(1)
     model = random_stable_model(rng, 3, rho=0.7)
     ds = noise_free_dataset(model, 512, seed=0)
-    n_grid = 64
-    samples = estimate_frf_spectral(ds, n_grid)
-    # Independent recomputation: direct z-transform sums of the full record on
-    # the grid, then the cross/auto spectral ratio.
-    n = np.arange(ds.ns)
-    got = samples.values[:, 0, 0]
-    ref = np.empty(n_grid, dtype=complex)
-    for k in range(n_grid):
-        zk = np.exp(-2j * np.pi * k / n_grid)
-        U = np.sum(ds.u.samples[:, 0] * zk**n)
-        Y = np.sum(ds.y.samples[:, 0] * zk**n)
-        ref[k] = Y * np.conj(U) / (np.abs(U) ** 2)
-    assert len(samples) == n_grid
-    assert np.allclose(got, ref, atol=1e-8 * np.abs(ref).max())
+    # a grid that divides the record, the record length itself, and one that
+    # does not divide it
+    for n_grid in (64, 512, 100):
+        samples = estimate_frf_spectral(ds, n_grid)
+        # Independent recomputation: direct z-transform sums of the full
+        # record on the grid, then the cross/auto spectral ratio.
+        n = np.arange(ds.ns)
+        got = samples.values[:, 0, 0]
+        ref = np.empty(n_grid, dtype=complex)
+        for k in range(n_grid):
+            zk = np.exp(-2j * np.pi * k / n_grid)
+            U = np.sum(ds.u.samples[:, 0] * zk**n)
+            Y = np.sum(ds.y.samples[:, 0] * zk**n)
+            ref[k] = Y * np.conj(U) / (np.abs(U) ** 2)
+        assert len(samples) == n_grid
+        assert np.allclose(got, ref, atol=1e-8 * np.abs(ref).max())
 
 
 def test_spectral_ratio_rejects_mimo_and_zero_input():
