@@ -90,7 +90,10 @@ def read_table(path, kind: str) -> tuple[tuple[int, int], np.ndarray, float | No
         raise FormatError(f"{path}: empty file")
     header = lines[0]
     ny, nu = _channel_counts(kind, header)
-    if min(ny, nu) < 1 or ny * nu > len(header) or header != channel_header(kind, ny, nu):
+    # A dataset's counts are label counts; the other kinds name ny*nu channels
+    # by pair indices, which must fit the header before a header is built.
+    too_many = kind != "dataset" and ny * nu > len(header)
+    if min(ny, nu) < 1 or too_many or header != channel_header(kind, ny, nu):
         example = ",".join(channel_header(kind, 1, 2))
         raise FormatError(f"{path}: line 1: header must list every channel once, "
                           f"in writer order (e.g. {example})")

@@ -60,10 +60,12 @@ def test_determinism_property(seed, ns, sigma2):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), ns=st.integers(5, 40))
-def test_roundtrip_exact_property(seed, ns, tmp_path_factory):
+@given(seed=st.integers(0, 2**32 - 1), ns=st.integers(5, 40),
+       shape=st.sampled_from([(3, 2), (3, 3), (2, 4), (4, 2), (1, 1)]))
+def test_roundtrip_exact_property(seed, ns, shape, tmp_path_factory):
+    # (ny, nu) with ny*nu above the 1 + nu + ny dataset columns included
     rng = np.random.default_rng(0)
-    model = random_stable_model(rng, 2, nu=2, ny=3)
+    model = random_stable_model(rng, 2, nu=shape[1], ny=shape[0])
     ds = generate_experiment(model, ns, 1e-6, seed=seed)
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     save_dataset(ds, path)
