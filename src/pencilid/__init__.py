@@ -69,14 +69,14 @@ from .spectral import (
     markov_to_frequency,
 )
 from .pencils import (
-    HankelPencil,
-    LoewnerPencil,
+    Pencil,
     SvdReport,
     build_hankel,
     build_loewner,
     hankel_reduce,
     loewner_reduce,
     partition,
+    reduce,
     svd_order,
 )
 from .metrics import (

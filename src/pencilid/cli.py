@@ -36,15 +36,15 @@ from .lti import (
     save_model,
     simulate,
 )
-from .pencils import hankel_reduce, loewner_reduce, save_singular_values
+from .pencils import reduce, save_singular_values
 from .pipeline import (
     METHODS,
     PipelineConfig,
-    _estimate,
-    _pencil_stage,
-    _run_one,
     building_surrogate,
+    estimate,
+    pencil_stage,
     run_benchmark,
+    run_method,
 )
 from .spectral import load_frequency_samples, markov_to_frequency, save_frequency_samples
 
@@ -117,7 +117,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     dataset = load_dataset(args.dataset)
-    h, tune = _estimate(dataset, _tuning_from_args(args), args.estimator)
+    h, tune = estimate(dataset, _tuning_from_args(args), args.estimator)
     out = _out_dir(args)
     save_markov(h, out / "impulse.csv")
     with open(out / "tuning.json", "w") as f:
@@ -147,7 +147,7 @@ def _cmd_svd(args) -> int:
         data, kind = load_frequency_samples(args.frequency), "loewner"
     else:
         raise PencilIdError("pass --markov (Hankel) or --frequency (Loewner)")
-    _, report, _ = _pencil_stage(data, args.partition)
+    _, report, _ = pencil_stage(data, args.partition)
     out = _out_dir(args)
     save_singular_values(report.singular_values, out / "singular_values.csv")
     print(f"{kind} matrix: {len(report.singular_values)} singular values, "
@@ -161,12 +161,12 @@ def _cmd_reduce(args) -> int:
     if args.pencil == "hankel":
         if not args.markov:
             raise PencilIdError("reduce hankel needs --markov")
-        data, reduce = load_markov(args.markov), hankel_reduce
+        data = load_markov(args.markov)
     else:
         if not args.frequency:
             raise PencilIdError("reduce loewner needs --frequency")
-        data, reduce = load_frequency_samples(args.frequency), loewner_reduce
-    pencil, sv, _ = _pencil_stage(data, args.partition)
+        data = load_frequency_samples(args.frequency)
+    pencil, sv, _ = pencil_stage(data, args.partition)
     model = reduce(pencil, sv.order_gap if args.order == "auto" else int(args.order))
     out = _out_dir(args)
     save_model(model, out / "model.json")
@@ -182,7 +182,7 @@ def _cmd_run(args) -> int:
         partition_scheme=args.partition,
         order=args.order if args.order == "auto" else int(args.order),
     )
-    model, report = _run_one(dataset, cfg, args.method)
+    model, report = run_method(dataset, cfg, args.method)
     out = _out_dir(args)
     save_model(model, out / "model.json")
     doc = {

@@ -123,7 +123,11 @@ def load_dataset(path) -> Dataset:
         meta = {}
     except json.JSONDecodeError as exc:
         raise FormatError(f"{meta_path}: line {exc.lineno}, col {exc.colno}: {exc.msg}")
-    (_, nu), table, _ = read_table(path, "dataset")
+    (ny, nu), table, _ = read_table(path, "dataset")
+    for key, count in (("nu", nu), ("ny", ny)):
+        if meta.get(key, count) != count:
+            raise FormatError(f"{meta_path}: declares {key}={meta[key]} "
+                              f"but {path.name} has {count}")
     ts = float(meta.get("ts", 1.0))
     u = SignalSequence(table[:, 1:1 + nu].copy(), ts=ts)
     y = SignalSequence(table[:, 1 + nu:].copy(), ts=ts)

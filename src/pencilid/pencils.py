@@ -1,9 +1,12 @@
 """Loewner and Hankel pencils: construction, order selection, projection.
 
-The Loewner pencil lives in complex arithmetic (its data sit on the unit
-circle); Hankel pencils of real coefficient data stay real.  Reduction is a
-two-sided projection with the dominant singular subspaces of the unshifted
-matrix alone, so no polynomial (D-term) behavior is forced into the model.
+Both frameworks give one full-order realization of the data, a
+:class:`Pencil` (E, A, B, C, D).  The Hankel pencil is Kung's shift
+realization (H, Hs, first block column, first block row, h_0); the Loewner
+pencil is the descriptor realization (L, Ls, -V, W), whose data sit on the
+unit circle, so it lives in complex arithmetic.  One :func:`reduce` truncates
+either: a two-sided projection with the dominant singular subspaces of E
+alone, so no polynomial (D-term) behavior is forced into the model.
 """
 
 from __future__ import annotations
@@ -23,43 +26,25 @@ SCHEMES = ("alternate", "half-half")
 
 
 @dataclass(frozen=True)
-class LoewnerPencil:
-    L: np.ndarray        # (k_right*ny, k_left*nu) complex
-    Ls: np.ndarray
-    V: np.ndarray        # (k_right*ny, nu), stacked right-side samples
-    W: np.ndarray        # (ny, k_left*nu), stacked left-side samples
-    left_points: np.ndarray
-    right_points: np.ndarray
-    ny: int
-    nu: int
+class Pencil:
+    """Full-order realization read off the data: C (zE - A)^-1 B + D.
+
+    ``E`` is the unshifted matrix (Hankel H or Loewner L), ``A`` its shifted
+    partner; ``B`` and ``C`` carry the data into and out of the pencil.
+    """
+
+    E: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: Optional[np.ndarray] = None
+    ts: float = 1.0
     scheme: str = ""
-    ts: float = 1.0
 
     @functools.cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full SVD of ``L``, computed once and shared by every order."""
-        return np.linalg.svd(self.L)
-
-
-@dataclass(frozen=True)
-class HankelPencil:
-    H: np.ndarray        # (m*ny, m*nu), block (i, j) is h_{i+j+1}
-    Hs: np.ndarray
-    h0: np.ndarray       # (ny, nu)
-    ts: float = 1.0
-
-    @property
-    def ny(self) -> int:
-        return self.h0.shape[0]
-
-    @property
-    def nu(self) -> int:
-        return self.h0.shape[1]
-
-    @functools.cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full SVD of ``H``, computed once and shared by every order."""
-        return np.linalg.svd(self.H)
+        """Full SVD of ``E``, computed once and shared by every order."""
+        return np.linalg.svd(self.E)
 
 
 @dataclass(frozen=True)
@@ -102,12 +87,14 @@ def partition(samples: FrequencySamples,
 
 
 def build_loewner(left: FrequencySamples, right: FrequencySamples,
-                  scheme: str = "", ts: Optional[float] = None) -> LoewnerPencil:
+                  scheme: str = "", ts: Optional[float] = None) -> Pencil:
     """Divided-difference pencil from two disjoint sample sets.
 
     Rows follow the right set (whose samples stack into V), columns the left
-    set (stacking into W); multichannel samples enter as blocks.  The sample
-    period defaults to that of the samples.
+    set (stacking into W); multichannel samples enter as blocks.  The
+    realization is (E, A, B, C) = (L, Ls, -V, W), so that
+    C (zE - A)^-1 B = W (Ls - zL)^-1 V.  The sample period defaults to that
+    of the samples.
     """
     zl, zr = left.points, right.points
     if left.ny != right.ny or left.nu != right.nu:
@@ -126,12 +113,11 @@ def build_loewner(left: FrequencySamples, right: FrequencySamples,
              for num in (vr - vl, zr4 * vr - zl4 * vl))
     V = right.values.reshape(kr * ny, nu)
     W = left.values.transpose(1, 0, 2).reshape(ny, kl * nu)
-    return LoewnerPencil(L=L, Ls=Ls, V=V, W=W, left_points=zl.copy(),
-                         right_points=zr.copy(), ny=ny, nu=nu, scheme=scheme,
-                         ts=left.ts if ts is None else ts)
+    return Pencil(E=L, A=Ls, B=-V, C=W, scheme=scheme,
+                  ts=left.ts if ts is None else ts)
 
 
-def svd_order(obj: Union[np.ndarray, LoewnerPencil, HankelPencil],
+def svd_order(obj: Union[np.ndarray, Pencil],
               svd_threshold: float = 1e-8) -> SvdReport:
     """Singular-value decay of a pencil's unshifted matrix with two order hints.
 
@@ -139,12 +125,7 @@ def svd_order(obj: Union[np.ndarray, LoewnerPencil, HankelPencil],
     gap hint is the index of the largest log10 drop between consecutive
     values (the full dimension when the decay is flat).
     """
-    if isinstance(obj, LoewnerPencil):
-        M = obj.L
-    elif isinstance(obj, HankelPencil):
-        M = obj.H
-    else:
-        M = np.asarray(obj)
+    M = np.asarray(getattr(obj, "E", obj))
     if M.size == 0 or not np.any(M):
         raise DimensionError("matrix is zero; no order to reveal")
     # A values-only SVD rather than the pencil's cached full one: the full
@@ -171,29 +152,13 @@ def svd_order(obj: Union[np.ndarray, LoewnerPencil, HankelPencil],
                      order_threshold=order_threshold, order_gap=order_gap)
 
 
-def loewner_reduce(pencil: LoewnerPencil, r: int) -> DescriptorModel:
-    """Project the pencil onto its dominant-r singular subspaces.
-
-    Returns a complex-entry descriptor model interpolating the stored data
-    (exactly when r equals the pencil rank).
-    """
-    if not 1 <= r <= min(pencil.L.shape):
-        raise OrderError(f"order {r} outside [1, {min(pencil.L.shape)}]")
-    X, _, Vh = pencil.svd
-    Xr = X[:, :r]
-    Yr = Vh[:r].conj().T
-    E = -(Xr.conj().T @ pencil.L @ Yr)
-    A = -(Xr.conj().T @ pencil.Ls @ Yr)
-    B = Xr.conj().T @ pencil.V
-    C = pencil.W @ Yr
-    return DescriptorModel(A=A, B=B, C=C, D=None, E=E, ts=pencil.ts)
-
-
-def build_hankel(h: MarkovSequence) -> HankelPencil:
+def build_hankel(h: MarkovSequence) -> Pencil:
     """Square block-Hankel pencil from coefficients h_1 .. h_{2m}.
 
     The block depth m = floor((N-1)/2) is the largest for which both the
-    matrix and its shift index only available coefficients.
+    matrix and its shift index only available coefficients.  The realization
+    is Kung's: E = H, A = its shift, B and C the first block column and row
+    (h_1 .. h_m), D = h_0.
     """
     N = len(h)
     if N < 3:
@@ -204,26 +169,27 @@ def build_hankel(h: MarkovSequence) -> HankelPencil:
     # block (i, j) of H is h_{i+j+1}, of Hs h_{i+j+2}
     H, Hs = (h.blocks[idx + k].transpose(0, 2, 1, 3).reshape(m * ny, m * nu)
              for k in (1, 2))
-    return HankelPencil(H=H, Hs=Hs, h0=h.blocks[0].copy(), ts=h.ts)
+    return Pencil(E=H, A=Hs, B=np.ascontiguousarray(H[:, :nu]), C=H[:ny],
+                  D=h.blocks[0].copy(), ts=h.ts, scheme="hankel")
 
 
-def hankel_reduce(pencil: HankelPencil, r: int) -> DescriptorModel:
-    """Projected partial realization of order r from the Hankel pencil.
+def reduce(pencil: Pencil, r: int) -> DescriptorModel:
+    """Project the pencil onto the dominant-r singular subspaces of ``E``.
 
-    Exact (reproduces the used coefficient window) when r equals the
-    numerical rank of the Hankel matrix.
+    D passes through.  Exact (reproduces the data the pencil holds) when r
+    equals the numerical rank of ``E``.
     """
-    if not 1 <= r <= min(pencil.H.shape):
-        raise OrderError(f"order {r} outside [1, {min(pencil.H.shape)}]")
+    if not 1 <= r <= min(pencil.E.shape):
+        raise OrderError(f"order {r} outside [1, {min(pencil.E.shape)}]")
     X, _, Vh = pencil.svd
-    Xr = X[:, :r]
-    Yr = Vh[:r].T
-    E = Xr.T @ pencil.H @ Yr
-    A = Xr.T @ pencil.Hs @ Yr
-    # h_1 .. h_m: H's first block row gives C, its first block column B
-    C = pencil.H[: pencil.ny] @ Yr
-    B = Xr.T @ np.ascontiguousarray(pencil.H[:, : pencil.nu])
-    return DescriptorModel(A=A, B=B, C=C, D=pencil.h0, E=E, ts=pencil.ts)
+    Xh = X[:, :r].conj().T
+    Yr = Vh[:r].conj().T
+    return DescriptorModel(A=Xh @ pencil.A @ Yr, B=Xh @ pencil.B, C=pencil.C @ Yr,
+                           D=pencil.D, E=Xh @ pencil.E @ Yr, ts=pencil.ts)
+
+
+# Names kept for callers that name the pencil kind.
+hankel_reduce = loewner_reduce = reduce
 
 
 def save_singular_values(s: np.ndarray, path) -> None:

@@ -45,14 +45,12 @@ from .lti import (
 from .metrics import eval_grid_logspace, fit_percentage, h2_freq_error, h2_impulse_error
 from .pencils import (
     SCHEMES,
-    HankelPencil,
-    LoewnerPencil,
+    Pencil,
     SvdReport,
     build_hankel,
     build_loewner,
-    hankel_reduce,
-    loewner_reduce,
     partition,
+    reduce,
     save_singular_values,
     svd_order,
 )
@@ -100,42 +98,32 @@ def _step(label: str):
         raise
 
 
-def _tune(dataset: Dataset, tuning: TuningConfig,
-          corr: Optional[np.ndarray] = None) -> dict:
-    """Shared tuning stage: L0, N, the LS estimate and the variance estimate."""
-    out = {}
+def estimate(dataset: Dataset, tuning: TuningConfig, estimator: str,
+             corr: Optional[np.ndarray] = None) -> tuple[MarkovSequence, dict]:
+    """Shared tuning stage (L0, N, the LS estimate and the variance
+    estimate), then the impulse estimate of ``estimator`` ("ls" or "smm").
+    Returns the estimate and the tuning results."""
     with _step("step 1a: past-window length"):
         if tuning.L0 is not None:
-            out["L0"] = tuning.L0
+            L0 = tuning.L0
         else:
-            if corr is None:
-                corr = cross_correlation(dataset)
-            out["L0"] = select_L0(corr, tuning.alpha)
+            L0 = select_L0(cross_correlation(dataset) if corr is None else corr,
+                           tuning.alpha)
     with _step("step 1b: horizon length"):
-        out["N"] = tuning.N if tuning.N is not None else select_N(dataset, out["L0"])
+        N = tuning.N if tuning.N is not None else select_N(dataset, L0)
     with _step("step 1c: least-squares estimate"):
-        out["h_ls"] = estimate_markov_ls(dataset, out["N"])
-        out["sigma2_hat"] = (
-            tuning.sigma2 if tuning.sigma2 is not None
-            else estimate_noise_variance(dataset, out["h_ls"], out["N"], out["L0"])
-        )
-    return out
-
-
-def _estimate(dataset: Dataset, tuning: TuningConfig, estimator: str,
-              corr: Optional[np.ndarray] = None) -> tuple[MarkovSequence, dict]:
-    """Tuning stage, then the impulse estimate of ``estimator`` ("ls" or
-    "smm").  Returns the estimate and the tuning results."""
-    tune = _tune(dataset, tuning, corr)
+        h_ls = estimate_markov_ls(dataset, N)
+        sigma2_hat = (tuning.sigma2 if tuning.sigma2 is not None
+                      else estimate_noise_variance(dataset, h_ls, N, L0))
+    tune = {"L0": L0, "N": N, "sigma2_hat": sigma2_hat}
     if estimator == "ls":
-        return tune["h_ls"], tune
+        return h_ls, tune
     with _step("step 2: signal-matrix estimate"):
-        h = estimate_markov_smm(dataset, tune["L0"], tune["N"], tune["sigma2_hat"])
-    return h, tune
+        return estimate_markov_smm(dataset, L0, N, sigma2_hat), tune
 
 
-def _pencil_stage(data: Union[MarkovSequence, FrequencySamples],
-                  scheme: str) -> tuple[Union[HankelPencil, LoewnerPencil], SvdReport, dict]:
+def pencil_stage(data: Union[MarkovSequence, FrequencySamples],
+                 scheme: str) -> tuple[Pencil, SvdReport, dict]:
     """Pencil of the data and the SVD report whose gap gives the order hint.
 
     Impulse coefficients give the Hankel pencil; frequency samples give the
@@ -167,8 +155,8 @@ def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,
          corr: Optional[np.ndarray] = None):
     """Everything of a run that does not depend on the reduction order:
     returns the pencil to truncate, its order hint, and the run report."""
-    h, tune = _estimate(dataset, cfg.tuning,
-                        "smm" if method.startswith("smm") else "ls", corr)
+    h, tune = estimate(dataset, cfg.tuning,
+                       "smm" if method.startswith("smm") else "ls", corr)
     report = {"method": method, "L0": tune["L0"], "N": tune["N"],
               "sigma2_hat": tune["sigma2_hat"],
               "h_estimate": h if method != "noisy-lf" else None}
@@ -181,25 +169,22 @@ def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,
             raise MethodUnsupported("noisy-lf requires single-input single-output data")
         with _step("spectral-ratio estimate"):
             data = estimate_frf_spectral(dataset, tune["N"])
-    pencil, sv, report["singular_values"] = _pencil_stage(data, cfg.partition_scheme)
+    pencil, sv, report["singular_values"] = pencil_stage(data, cfg.partition_scheme)
     return pencil, sv.order_gap, report
 
 
-def _reduce(pencil: Union[HankelPencil, LoewnerPencil], order: Union[int, str],
+def _reduce(pencil: Pencil, order: Union[int, str],
             hint: int) -> tuple[DescriptorModel, int]:
     """Truncate a fitted pencil to ``order`` ("auto": the hint), capped at
     the pencil's size.  Returns the model and the order used."""
-    if isinstance(pencil, HankelPencil):
-        label, reduce, M = "step 3c: Hankel realization", hankel_reduce, pencil.H
-    else:
-        label, reduce, M = "step 3e: Loewner realization", loewner_reduce, pencil.L
-    r = min(hint if order == "auto" else int(order), min(M.shape))
-    with _step(label):
+    r = min(hint if order == "auto" else int(order), min(pencil.E.shape))
+    with _step("step 3c: realization"):
         return reduce(pencil, r), r
 
 
-def _run_one(dataset: Dataset, cfg: PipelineConfig, method: str,
-             corr: Optional[np.ndarray] = None) -> tuple[DescriptorModel, dict]:
+def run_method(dataset: Dataset, cfg: PipelineConfig, method: str,
+               corr: Optional[np.ndarray] = None) -> tuple[DescriptorModel, dict]:
+    """One full pipeline run of ``method``: the model and the run report."""
     pencil, hint, report = _fit(dataset, cfg, method, corr)
     model, report["order"] = _reduce(pencil, cfg.order, hint)
     return model, report
@@ -207,19 +192,19 @@ def _run_one(dataset: Dataset, cfg: PipelineConfig, method: str,
 
 def run_smm_hf(dataset: Dataset, cfg: PipelineConfig) -> tuple[DescriptorModel, dict]:
     """Signal-matrix impulse estimation followed by Hankel realization."""
-    return _run_one(dataset, cfg, "smm-hf")
+    return run_method(dataset, cfg, "smm-hf")
 
 
 def run_smm_lf(dataset: Dataset, cfg: PipelineConfig) -> tuple[DescriptorModel, dict]:
     """Signal-matrix estimation, FFT bridge, Loewner realization."""
-    return _run_one(dataset, cfg, "smm-lf")
+    return run_method(dataset, cfg, "smm-lf")
 
 
 def run_baseline(dataset: Dataset, cfg: PipelineConfig) -> tuple[DescriptorModel, dict]:
     """The two comparison pipelines: ``ls-hf`` and ``noisy-lf``."""
     if cfg.method not in ("ls-hf", "noisy-lf"):
         raise MethodUnsupported(f"{cfg.method!r} is not a baseline method")
-    return _run_one(dataset, cfg, cfg.method)
+    return run_method(dataset, cfg, cfg.method)
 
 
 # ---------------------------------------------------------------------------

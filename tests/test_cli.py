@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from pencilid import load_model
+from pencilid import load_markov, load_model, reduce, save_model
 from pencilid.cli import main
+from pencilid.pipeline import pencil_stage
+from pencilid.spectral import load_frequency_samples
 
 
 def run(args):
@@ -74,6 +76,20 @@ def test_svd_gap_order_is_reduce_auto_order(workdir, capsys):
     assert run(["reduce", "loewner", "--frequency", f, "--partition", "combined",
                 "--order", "auto", "--out", workdir / "rla"]) == 0
     assert load_model(workdir / "rla" / "model.json").n == int(gap.group(1))
+
+
+def test_reduce_is_library_reduce(workdir, tmp_path):
+    # The CLI and the library take one path: byte-identical model files.
+    inputs = {"hankel": ("--markov", workdir / "e" / "impulse.csv", load_markov),
+              "loewner": ("--frequency", workdir / "f" / "frequency.csv",
+                          load_frequency_samples)}
+    for kind, (flag, path, load) in inputs.items():
+        assert run(["reduce", kind, flag, path, "--order", 10,
+                    "--partition", "combined", "--out", tmp_path / kind]) == 0
+        save_model(reduce(pencil_stage(load(path), "combined")[0], 10),
+                   tmp_path / f"{kind}.json")
+        assert ((tmp_path / kind / "model.json").read_bytes()
+                == (tmp_path / f"{kind}.json").read_bytes())
 
 
 def test_run_pipeline(workdir):

@@ -125,6 +125,14 @@ def test_load_errors(tmp_path):
     path.write_text("k,h_1_1,ts\n0,1.0,1.0\n1,2.0\n")
     with pytest.raises(FormatError, match="line 3"):
         load_markov(path)
+    # a dataset sidecar must declare the header's channel counts, if any
+    path.write_text("k,u_1,y_1\n0,1.0,2.0\n1,3.0,4.0\n")
+    meta = path.with_suffix(".meta.json")
+    meta.write_text('{"ts": 0.5, "nu": 3, "ny": 2}')
+    with pytest.raises(FormatError, match="nu=3"):
+        load_dataset(path)
+    meta.write_text('{"ts": 0.5}')
+    assert load_dataset(path).ts == 0.5
 
 
 def test_only_tables_imports_csv():
@@ -142,3 +150,16 @@ def test_only_tables_imports_csv():
             if "csv" in names:
                 importers.add(path.name)
     assert importers == {"tables.py"}
+
+
+def test_no_private_imports_across_modules():
+    # A name another pencilid module needs is public; an underscore import
+    # from a sibling module is a second path into its internals.
+    offenders = []
+    for path in Path(pencilid.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("pencilid")):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert offenders == []

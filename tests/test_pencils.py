@@ -15,6 +15,7 @@ from pencilid import (
     impulse_response,
     loewner_reduce,
     partition,
+    reduce,
     svd_order,
 )
 from pencilid.errors import PointCollision
@@ -73,10 +74,10 @@ def test_loewner_first_order_oracle():
                          omega=np.angle(np.array([z2, z1])))
     l, r = partition(s, "half-half")
     p = build_loewner(l, r)
-    assert p.L[0, 0] == pytest.approx((H(z1) - H(z2)) / (z1 - z2))
-    assert p.Ls[0, 0] == pytest.approx((z1 * H(z1) - z2 * H(z2)) / (z1 - z2))
-    assert p.V[0, 0] == pytest.approx(H(z1))   # right-set data
-    assert p.W[0, 0] == pytest.approx(H(z2))   # left-set data
+    assert p.E[0, 0] == pytest.approx((H(z1) - H(z2)) / (z1 - z2))
+    assert p.A[0, 0] == pytest.approx((z1 * H(z1) - z2 * H(z2)) / (z1 - z2))
+    assert -p.B[0, 0] == pytest.approx(H(z1))   # right-set data
+    assert p.C[0, 0] == pytest.approx(H(z2))    # left-set data
 
 
 def test_build_loewner_mimo_elementwise_oracle():
@@ -90,24 +91,24 @@ def test_build_loewner_mimo_elementwise_oracle():
     left, right = partition(s, "alternate")
     p = build_loewner(left, right)
     zl, zr, vl, vr = left.points, right.points, left.values, right.values
-    assert p.L.shape == p.Ls.shape == (len(zr) * ny, len(zl) * nu)
+    assert p.E.shape == p.A.shape == (len(zr) * ny, len(zl) * nu)
     for i in range(len(zr)):
         for j in range(len(zl)):
             for a in range(ny):
                 for b in range(nu):
                     d = zr[i] - zl[j]
-                    assert p.L[i * ny + a, j * nu + b] == pytest.approx(
+                    assert p.E[i * ny + a, j * nu + b] == pytest.approx(
                         (vr[i, a, b] - vl[j, a, b]) / d, rel=1e-14)
-                    assert p.Ls[i * ny + a, j * nu + b] == pytest.approx(
+                    assert p.A[i * ny + a, j * nu + b] == pytest.approx(
                         (zr[i] * vr[i, a, b] - zl[j] * vl[j, a, b]) / d, rel=1e-14)
     for i in range(len(zr)):
         for a in range(ny):
             for b in range(nu):
-                assert p.V[i * ny + a, b] == vr[i, a, b]
+                assert -p.B[i * ny + a, b] == vr[i, a, b]
     for j in range(len(zl)):
         for a in range(ny):
             for b in range(nu):
-                assert p.W[a, j * nu + b] == vl[j, a, b]
+                assert p.C[a, j * nu + b] == vl[j, a, b]
 
 
 def test_loewner_constant_samples():
@@ -116,11 +117,12 @@ def test_loewner_constant_samples():
     s = FrequencySamples(points=np.exp(1j * omega),
                          values=np.full((4, 1, 1), c, dtype=complex),
                          omega=omega)
-    p = build_loewner(*partition(s, "alternate"))
-    assert np.allclose(p.L, 0.0, atol=1e-14)
-    z_r = p.right_points.reshape(-1, 1)
-    z_l = p.left_points.reshape(1, -1)
-    assert np.allclose(p.Ls, c * (z_r - z_l) / (z_r - z_l), atol=1e-13)
+    left, right = partition(s, "alternate")
+    p = build_loewner(left, right)
+    assert np.allclose(p.E, 0.0, atol=1e-14)
+    z_r = right.points.reshape(-1, 1)
+    z_l = left.points.reshape(1, -1)
+    assert np.allclose(p.A, c * (z_r - z_l) / (z_r - z_l), atol=1e-13)
 
 
 def test_loewner_point_collision():
@@ -140,15 +142,17 @@ def test_loewner_sylvester_identities(seed, count, scheme):
     rng = np.random.default_rng(seed)
     model = random_stable_model(rng, 3, rho=0.8, with_d=True)
     s = _samples_of_model(model, count)
-    p = build_loewner(*partition(s, scheme))
-    z_r = p.right_points.reshape(-1, 1)
-    z_l = p.left_points.reshape(1, -1)
-    ones_r = np.ones((len(p.right_points), 1))
-    ones_l = np.ones((1, len(p.left_points)))
-    scale = max(np.abs(p.Ls).max(), 1.0)
+    left, right = partition(s, scheme)
+    p = build_loewner(left, right)
+    z_r = right.points.reshape(-1, 1)
+    z_l = left.points.reshape(1, -1)
+    ones_r = np.ones((len(right), 1))
+    ones_l = np.ones((1, len(left)))
+    scale = max(np.abs(p.A).max(), 1.0)
+    # With E = L, A = Ls, B = -V, C = W:
     # Ls - diag(z_right) L = ones * W   and   Ls - L diag(z_left) = V * ones'.
-    assert np.allclose(p.Ls - z_r * p.L, ones_r @ p.W, atol=1e-12 * scale)
-    assert np.allclose(p.Ls - p.L * z_l, p.V @ ones_l, atol=1e-12 * scale)
+    assert np.allclose(p.A - z_r * p.E, ones_r @ p.C, atol=1e-12 * scale)
+    assert np.allclose(p.A - p.E * z_l, -p.B @ ones_l, atol=1e-12 * scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -166,7 +170,7 @@ def test_loewner_rank_reveals_order(seed, n, scheme):
     )
     s = _samples_of_model(model, 2 * n + 4)
     p = build_loewner(*partition(s, scheme))
-    sv = np.linalg.svd(p.L, compute_uv=False)
+    sv = np.linalg.svd(p.E, compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     assert rank == n
 
@@ -201,16 +205,6 @@ def test_loewner_interpolation(seed, n):
     assert np.max(np.abs(got - s.values)) <= 1e-8 * scale
 
 
-def test_loewner_reduce_order_errors():
-    rng = np.random.default_rng(1)
-    s = _samples_of_model(random_stable_model(rng, 3), 8)
-    p = build_loewner(*partition(s, "alternate"))
-    with pytest.raises(OrderError):
-        loewner_reduce(p, 0)
-    with pytest.raises(OrderError):
-        loewner_reduce(p, 5)
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
 def test_loewner_real_data_gives_real_impulse(seed, n):
@@ -230,9 +224,9 @@ def test_loewner_real_data_gives_real_impulse(seed, n):
 def test_build_hankel_oracle():
     h = MarkovSequence(np.array([0.0, 1.0, 0.5, 0.25, 0.125]), ts=1.0)
     p = build_hankel(h)
-    assert np.array_equal(p.H, [[1.0, 0.5], [0.5, 0.25]])
-    assert np.array_equal(p.Hs, [[0.5, 0.25], [0.25, 0.125]])
-    assert p.h0[0, 0] == 0.0
+    assert np.array_equal(p.E, [[1.0, 0.5], [0.5, 0.25]])
+    assert np.array_equal(p.A, [[0.5, 0.25], [0.25, 0.125]])
+    assert p.D[0, 0] == 0.0
 
 
 def test_build_hankel_block_structure_mimo():
@@ -241,12 +235,12 @@ def test_build_hankel_block_structure_mimo():
         blocks = rng.normal(size=(7, ny, nu))  # m=3
         p = build_hankel(MarkovSequence(blocks, ts=1.0))
         m = 3
-        assert p.H.shape == p.Hs.shape == (m * ny, m * nu)
+        assert p.E.shape == p.A.shape == (m * ny, m * nu)
         for i in range(m):
             for j in range(m):
                 rows, cols = slice(i * ny, (i + 1) * ny), slice(j * nu, (j + 1) * nu)
-                assert np.array_equal(p.H[rows, cols], blocks[i + j + 1])
-                assert np.array_equal(p.Hs[rows, cols], blocks[i + j + 2])
+                assert np.array_equal(p.E[rows, cols], blocks[i + j + 1])
+                assert np.array_equal(p.A[rows, cols], blocks[i + j + 2])
 
 
 def test_hankel_reduce_scalar_oracle():
@@ -276,23 +270,14 @@ def test_hankel_truncation_error_bound():
     model = random_stable_model(rng, 2, rho=0.8)
     h = exact_markov(model, 12)
     p = build_hankel(h)
-    sv = np.linalg.svd(p.H, compute_uv=False)
+    sv = np.linalg.svd(p.E, compute_uv=False)
     red = hankel_reduce(p, 1)
     back = impulse_response(red, 12)
     err = np.sqrt(np.sum((back.blocks - h.blocks) ** 2))
     assert err <= 10 * np.sqrt(np.sum(sv[1:] ** 2)) + 1e-12
 
 
-def test_hankel_order_error():
-    h = MarkovSequence(np.arange(7.0), ts=1.0)
-    p = build_hankel(h)
-    with pytest.raises(OrderError):
-        hankel_reduce(p, 0)
-    with pytest.raises(OrderError):
-        hankel_reduce(p, 4)
-
-
-# --- one SVD per pencil ---------------------------------------------------------------
+# --- one reduce, one SVD per pencil ---------------------------------------------------
 
 def _count_svd_calls(monkeypatch):
     calls = []
@@ -306,23 +291,38 @@ def _count_svd_calls(monkeypatch):
     return calls
 
 
-def test_hankel_reduce_shares_one_svd(monkeypatch):
+def _hankel_of(model):
+    return build_hankel(exact_markov(model, 16))
+
+
+def _loewner_of(model):
+    return build_loewner(*partition(_samples_of_model(model, 12), "alternate"))
+
+
+@pytest.mark.parametrize("build", [pytest.param(_hankel_of, id="hankel"),
+                                   pytest.param(_loewner_of, id="loewner")])
+def test_reduce_shares_one_svd(monkeypatch, build):
     rng = np.random.default_rng(6)
-    p = build_hankel(exact_markov(random_stable_model(rng, 4, rho=0.8), 16))
+    p = build(random_stable_model(rng, 4, rho=0.8))
     calls = _count_svd_calls(monkeypatch)
-    models = [hankel_reduce(p, r) for r in (1, 3, 4)]
+    models = [reduce(p, r) for r in (1, 3, 4)]
     assert len(calls) == 1
     assert [m.n for m in models] == [1, 3, 4]
 
 
-def test_loewner_reduce_shares_one_svd(monkeypatch):
-    rng = np.random.default_rng(6)
-    s = _samples_of_model(random_stable_model(rng, 4, rho=0.8), 12)
-    p = build_loewner(*partition(s, "alternate"))
-    calls = _count_svd_calls(monkeypatch)
-    models = [loewner_reduce(p, r) for r in (1, 3, 4)]
-    assert len(calls) == 1
-    assert [m.n for m in models] == [1, 3, 4]
+@pytest.mark.parametrize("pencil, too_high", [
+    pytest.param(lambda: build_hankel(MarkovSequence(np.arange(7.0), ts=1.0)), 4,
+                 id="hankel"),
+    pytest.param(lambda: build_loewner(*partition(_samples_of_model(
+        random_stable_model(np.random.default_rng(1), 3), 8), "alternate")), 5,
+                 id="loewner"),
+])
+def test_reduce_order_errors(pencil, too_high):
+    p = pencil()
+    with pytest.raises(OrderError):
+        reduce(p, 0)
+    with pytest.raises(OrderError):
+        reduce(p, too_high)
 
 
 # --- SVD order selection ---------------------------------------------------------------
