@@ -15,17 +15,14 @@ import sys
 import numpy as np
 
 from pencilid import (
+    TuningConfig,
     building_surrogate,
-    estimate_markov_ls,
-    estimate_markov_smm,
-    estimate_noise_variance,
     fit_percentage,
     generate_experiment,
     impulse_response,
-    select_L0,
-    select_N,
 )
 from pencilid.estimation import cross_correlation
+from pencilid.pipeline import estimate
 
 R = int(sys.argv[1]) if len(sys.argv) > 1 else 20
 NS, TS, SIGMA2, ALPHA = 1000, 0.015, 1e-7, 0.4
@@ -39,21 +36,19 @@ datasets = [generate_experiment(model, NS, SIGMA2, seed=i) for i in range(R)]
 # One past-window length for the whole campaign, from the averaged
 # cross-correlation (individual records are too noisy to threshold).
 corr = np.mean([cross_correlation(d) for d in datasets], axis=0)
-L0 = select_L0(corr, ALPHA)
-print(f"past window L0 = {L0} (threshold margin alpha = {ALPHA})")
+tuning = TuningConfig(alpha=ALPHA)
 
 w_ls, w_smm, sigma2s = [], [], []
 for ds in datasets:
-    N = select_N(ds, L0)
-    h_ls = estimate_markov_ls(ds, N)
-    sigma2_hat = estimate_noise_variance(ds, h_ls, N, L0)
-    h_smm = estimate_markov_smm(ds, L0, N, sigma2_hat)
-    h_true = impulse_response(model, N)
+    h_ls, tune = estimate(ds, tuning, "ls", corr)
+    h_smm, _ = estimate(ds, tuning, "smm", corr)
+    h_true = impulse_response(model, tune["N"])
     w_ls.append(fit_percentage(h_ls, h_true))
     w_smm.append(fit_percentage(h_smm, h_true))
-    sigma2s.append(sigma2_hat)
+    sigma2s.append(tune["sigma2_hat"])
 
-print(f"horizon N = {N}, median sigma2_hat = {np.median(sigma2s):.2e}\n")
+print(f"past window L0 = {tune['L0']} (threshold margin alpha = {ALPHA})")
+print(f"horizon N = {tune['N']}, median sigma2_hat = {np.median(sigma2s):.2e}\n")
 
 for name, w in (("least squares ", w_ls), ("signal matrix ", w_smm)):
     q25, q50, q75 = np.percentile(w, [25, 50, 75])

@@ -12,30 +12,23 @@ Run:  python demos/order_revelation.py
 import numpy as np
 
 from pencilid import (
+    TuningConfig,
     build_loewner,
     building_surrogate,
-    estimate_markov_smm,
-    estimate_markov_ls,
-    estimate_noise_variance,
     generate_experiment,
     markov_to_frequency,
     partition,
-    select_L0,
-    select_N,
     svd_order,
 )
-from pencilid.estimation import cross_correlation
+from pencilid.pipeline import estimate
 
 NS, TS, SIGMA2 = 1000, 0.015, 1e-7
 
 model = building_surrogate(ts=TS)
 ds = generate_experiment(model, NS, SIGMA2, seed=0)
 
-L0 = select_L0(cross_correlation(ds), 0.4)
-N = select_N(ds, L0)
-h_ls = estimate_markov_ls(ds, N)
-sigma2 = estimate_noise_variance(ds, h_ls, N, L0)
-h = estimate_markov_smm(ds, L0, N, sigma2)
+h, tune = estimate(ds, TuningConfig(alpha=0.4), "smm")
+L0, N = tune["L0"], tune["N"]
 samples = markov_to_frequency(h)
 print(f"L0 = {L0}, N = {N}: {len(samples)} frequency samples\n")
 

@@ -359,23 +359,17 @@ def estimate_markov_smm(dataset: Dataset, L0: int, N: int,
                         sigma2: float, rank_rtol: float = 1e-10) -> MarkovSequence:
     """Signal-matrix estimate of the first N Markov parameter blocks.
 
-    The impulse response is recovered as the data-driven trajectory for zero
-    initial windows and a unit impulse input; multi-input systems are handled
-    with one impulse per input channel, filling the block columns.
+    The impulse response is the data-driven trajectory for zero initial
+    windows and a unit impulse input; one solve takes the impulses of all
+    input channels at once, each filling one block column.
     """
     bm = _behavioral_checked(dataset, L0, N, rank_rtol)
-    solve_FYp, FiUt, solve_S = _smm_solver(bm, sigma2)
-    nu, ny = dataset.nu, dataset.ny
-    u_ini = np.zeros(L0 * nu)
-    y_ini = np.zeros(L0 * ny)
-    blocks = np.empty((N, ny, nu))
-    for j in range(nu):
-        u = np.zeros(N * nu)
-        u[j] = 1.0
-        g = _smm_g(bm, solve_FYp, FiUt, solve_S, u_ini, y_ini, u)
-        yhat = bm.Yf @ g
-        blocks[:, :, j] = yhat.reshape(N, ny)
-    return MarkovSequence(blocks, ts=dataset.ts)
+    _, FiUt, solve_S = _smm_solver(bm, sigma2)
+    nu = dataset.nu
+    impulses = np.zeros(((L0 + N) * nu, nu))
+    impulses[L0 * nu:(L0 + 1) * nu] = np.eye(nu)
+    yhat = bm.Yf @ (FiUt @ solve_S(impulses))
+    return MarkovSequence(yhat.reshape(N, dataset.ny, nu), ts=dataset.ts)
 
 
 def data_driven_response(dataset: Dataset, u_ini, y_ini, u,

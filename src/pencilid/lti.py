@@ -170,23 +170,6 @@ class MarkovSequence:
         return self.blocks.shape[2]
 
 
-class _ESolver:
-    """Pre-factorized solve with E (one factorization, reused everywhere)."""
-
-    def __init__(self, E: Optional[np.ndarray]):
-        if E is None:
-            self._lu = None
-            return
-        if np.linalg.cond(E) > _E_COND_LIMIT:
-            raise SingularE(f"cond(E) exceeds {_E_COND_LIMIT:g}")
-        self._lu = scipy.linalg.lu_factor(E)
-
-    def solve(self, M: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            return M
-        return scipy.linalg.lu_solve(self._lu, M)
-
-
 def _realify(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Split a complex response into its real part and the peak imaginary
     magnitude; warn when the leakage is large relative to the response."""
@@ -202,16 +185,12 @@ def _realify(x: np.ndarray) -> tuple[np.ndarray, float]:
     return np.ascontiguousarray(x.real), max_imag
 
 
-def simulate(
-    model: DescriptorModel,
-    input: SignalSequence,
-    x0: Optional[np.ndarray] = None,
-) -> SignalSequence:
-    """Run the state recursion and return the output sequence.
+def simulate(model: DescriptorModel, input: SignalSequence) -> SignalSequence:
+    """Run the state recursion from a zero state and return the outputs.
 
-    The descriptor matrix E, when present, is factorized once and reused for
-    every step.  Complex-entry models are simulated in complex arithmetic and
-    the real part is returned.
+    A descriptor model runs as its standard form (:func:`descriptor_to_standard`),
+    so E is inverted once, not at every step.  Complex-entry models are
+    simulated in complex arithmetic and the real part is returned.
     """
     if not model.is_discrete:
         raise DimensionError("simulate requires a discrete-time model")
@@ -219,18 +198,16 @@ def simulate(
         raise DimensionError(
             f"input has {input.channels} channels, model expects {model.nu}"
         )
-    solver = _ESolver(model.E)
+    model = descriptor_to_standard(model)
     dtype = complex if model.is_complex else float
     K = len(input)
     u = input.samples
     x = np.zeros(model.n, dtype=dtype)
-    if x0 is not None:
-        x = np.asarray(x0, dtype=dtype).reshape(model.n)
     D = model.d_matrix()
     y = np.empty((K, model.ny), dtype=dtype)
     for k in range(K):
         y[k] = model.C @ x + D @ u[k]
-        x = solver.solve(model.A @ x + model.B @ u[k])
+        x = model.A @ x + model.B @ u[k]
     y_real, _ = _realify(y)
     return SignalSequence(y_real, ts=input.ts)
 
@@ -238,26 +215,23 @@ def simulate(
 def impulse_response(model: DescriptorModel, N: int) -> MarkovSequence:
     """First N impulse-response coefficient blocks [D, CB, CAB, ...].
 
-    For descriptor models the blocks are those of the equivalent standard
-    form, computed through repeated solves with E rather than inversion.
+    For descriptor models these are the blocks of the standard form
+    (:func:`descriptor_to_standard`), which folds E in once.
     """
     if not model.is_discrete:
         raise DimensionError("impulse_response requires a discrete-time model")
     if N < 1:
         raise DimensionError("N must be >= 1")
-    solver = _ESolver(model.E)
+    model = descriptor_to_standard(model)
     dtype = complex if model.is_complex else float
     blocks = np.empty((N, model.ny, model.nu), dtype=dtype)
     blocks[0] = model.d_matrix()
-    if N > 1:
-        X = solver.solve(model.B.astype(dtype))
-        blocks[1] = model.C @ X
-        for k in range(2, N):
-            X = solver.solve(model.A @ X)
-            blocks[k] = model.C @ X
+    X = model.B.astype(dtype)
+    for k in range(1, N):
+        blocks[k] = model.C @ X
+        X = model.A @ X
     real_blocks, max_imag = _realify(blocks)
-    return MarkovSequence(real_blocks, ts=model.ts if model.is_discrete else 1.0,
-                          max_imag=max_imag)
+    return MarkovSequence(real_blocks, ts=model.ts, max_imag=max_imag)
 
 
 def frequency_response(model: DescriptorModel, points: Sequence[complex]) -> np.ndarray:
@@ -278,13 +252,18 @@ def frequency_response(model: DescriptorModel, points: Sequence[complex]) -> np.
 
 
 def descriptor_to_standard(model: DescriptorModel) -> DescriptorModel:
-    """Fold E into A and B, returning the standard-form equivalent."""
+    """Fold E into A and B: the standard form (E^{-1}A, E^{-1}B, C, D).
+
+    The one place a model's E is inverted, by one LU solve of E against
+    [A | B]; raises :class:`SingularE` when cond(E) exceeds ``_E_COND_LIMIT``.
+    """
     if model.E is None:
         return model
-    solver = _ESolver(model.E)
-    A = solver.solve(model.A)
-    B = solver.solve(model.B)
-    return DescriptorModel(A=A, B=B, C=model.C, D=model.D, E=None, ts=model.ts)
+    if np.linalg.cond(model.E) > _E_COND_LIMIT:
+        raise SingularE(f"cond(E) exceeds {_E_COND_LIMIT:g}")
+    AB = np.linalg.solve(model.E, np.hstack([model.A, model.B]))
+    return DescriptorModel(A=AB[:, :model.n], B=AB[:, model.n:], C=model.C,
+                           D=model.D, E=None, ts=model.ts)
 
 
 def discretize_zoh(model: DescriptorModel, ts: float) -> DescriptorModel:
@@ -310,10 +289,8 @@ def discretize_zoh(model: DescriptorModel, ts: float) -> DescriptorModel:
 
 
 def is_stable(model: DescriptorModel) -> tuple[bool, float]:
-    """Stability check; returns (stable, spectral radius or abscissa)."""
-    solver = _ESolver(model.E)
-    A = solver.solve(model.A)
-    eig = np.linalg.eigvals(A)
+    """Stability of E^{-1}A; returns (stable, spectral radius or abscissa)."""
+    eig = np.linalg.eigvals(descriptor_to_standard(model).A)
     if model.is_discrete:
         radius = float(np.max(np.abs(eig))) if eig.size else 0.0
         return radius < 1.0, radius

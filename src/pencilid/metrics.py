@@ -24,15 +24,20 @@ def fit_percentage(h_hat: MarkovSequence, h_true: MarkovSequence) -> float:
     return float(100.0 * (1.0 - np.sqrt(np.sum((b - a) ** 2) / ref)))
 
 
-def h2_impulse_error(h_hat: MarkovSequence, h_true: MarkovSequence) -> float:
-    """Normalized 2-norm error between impulse responses."""
-    a, b = np.asarray(h_hat.blocks), np.asarray(h_true.blocks)
+def _normalized_error(a, b, kind: str) -> float:
+    """sqrt(sum |a - b|^2 / sum |b|^2) over every entry."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     ref = np.sum(np.abs(b) ** 2)
     if ref == 0.0:
-        raise DegenerateReference("reference impulse response is zero")
+        raise DegenerateReference(f"reference {kind} response is zero")
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / ref))
+
+
+def h2_impulse_error(h_hat: MarkovSequence, h_true: MarkovSequence) -> float:
+    """Normalized 2-norm error between impulse responses."""
+    return _normalized_error(h_hat.blocks, h_true.blocks, "impulse")
 
 
 def h2_freq_error(H_hat: np.ndarray, H_true: np.ndarray) -> float:
@@ -41,13 +46,7 @@ def h2_freq_error(H_hat: np.ndarray, H_true: np.ndarray) -> float:
     Arguments are (N, ny, nu) complex arrays of samples; each grid point
     contributes its Frobenius norm.
     """
-    a, b = np.asarray(H_hat), np.asarray(H_true)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    ref = np.sum(np.abs(b) ** 2)
-    if ref == 0.0:
-        raise DegenerateReference("reference frequency response is zero")
-    return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / ref))
+    return _normalized_error(H_hat, H_true, "frequency")
 
 
 def eval_grid_logspace(w_min: float, w_max: float, count: int,

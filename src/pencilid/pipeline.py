@@ -165,8 +165,6 @@ def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,
         with _step("step 3a: FFT bridge"):
             data = markov_to_frequency(h)
     elif method == "noisy-lf":
-        if dataset.nu != 1 or dataset.ny != 1:
-            raise MethodUnsupported("noisy-lf requires single-input single-output data")
         with _step("spectral-ratio estimate"):
             data = estimate_frf_spectral(dataset, tune["N"])
     pencil, sv, report["singular_values"] = pencil_stage(data, cfg.partition_scheme)

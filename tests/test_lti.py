@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +151,27 @@ def test_descriptor_to_standard_preserves_impulse(seed, n):
     h2 = impulse_response(std, 10).blocks
     scale = max(np.abs(h1).max(), 1e-30)
     assert np.allclose(h1, h2, atol=1e-10 * scale)
+    # desc disguises model; its impulse response is the reference.
+    h0 = impulse_response(model, 10).blocks
+    assert np.allclose(h1, h0, atol=1e-10 * max(np.abs(h0).max(), 1e-30))
+
+
+def test_impulse_response_solves_with_e_once(monkeypatch):
+    # E is folded into A and B once, not solved with at every step.
+    rng = np.random.default_rng(4)
+    model = random_stable_model(rng, 10)
+    Q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+    E = Q @ np.diag(np.exp(rng.uniform(-1, 1, size=10))) @ Q.T
+    desc = DescriptorModel(A=E @ model.A, B=E @ model.B, C=model.C, E=E, ts=1.0)
+    calls = []
+    for module, name in ((np.linalg, "solve"), (scipy.linalg, "solve"),
+                         (scipy.linalg, "lu_solve")):
+        def counting(*args, _solve=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    impulse_response(desc, 50)
+    assert len(calls) == 1
 
 
 # --- persistence ------------------------------------------------------------
