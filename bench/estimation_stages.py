@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the estimation stages of one SMM fit on long records.
+"""Time the stages of one SMM fit and of its reduced models on long records.
 
     python3 bench/estimation_stages.py --label change --out BENCH_x.json
     python3 bench/estimation_stages.py --src ../base/src --label base --out BENCH_x.json
@@ -7,10 +7,13 @@
 Each repeat takes a fresh copy of every record (N_s = 2000, the building
 surrogate, output-noise variance 1e-7) and runs the stages in pipeline
 order: ``select_L0`` (untimed), ``select_N``, the LS estimate, the noise
-variance and the SMM estimate.  A stage's time is the median over repeats
-of its summed time over the records.  The labelled result is merged into
-``--out``, so two source trees measured in turn share one file.  BLAS is
-pinned to one thread.
+variance and the SMM estimate.  The SMM estimate's Hankel pencil (smm-hf)
+is then reduced to orders 10, 20, 30, 40 and 48 (untimed), and each model's
+N impulse-response blocks and its frequency response on the pipeline's
+200-point grid are timed as two more stages.  A stage's time is the median
+over repeats of its summed time over the records.  The labelled result is
+merged into ``--out``, so two source trees measured in turn share one file.
+BLAS is pinned to one thread.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("select_N", "estimate_markov_ls", "estimate_noise_variance",
-          "estimate_markov_smm")
+          "estimate_markov_smm", "impulse_response", "frequency_response")
+ORDERS = (10, 20, 30, 40, 48)
 
 
 def main() -> None:
@@ -51,10 +55,15 @@ def main() -> None:
 
     from pencilid import estimation as est
     from pencilid.dataio import Dataset, generate_experiment
-    from pencilid.lti import SignalSequence
-    from pencilid.pipeline import building_surrogate
+    from pencilid.lti import SignalSequence, frequency_response, impulse_response
+    from pencilid.metrics import eval_grid_logspace
+    from pencilid.pencils import build_hankel, reduce
+    from pencilid.pipeline import PipelineConfig, building_surrogate
 
     model = building_surrogate(ts=0.015)
+    cfg = PipelineConfig()
+    _, grid_z = eval_grid_logspace(cfg.grid_wmin, cfg.grid_wmax, cfg.grid_count,
+                                   model.ts)
     records = [generate_experiment(model, 2000, 1e-7, seed=s) for s in args.seeds]
     L0s = [est.select_L0(est.cross_correlation(d)) for d in records]
 
@@ -79,7 +88,12 @@ def main() -> None:
             N = timed(est.select_N, d, L0)
             h_ls = timed(est.estimate_markov_ls, d, N)
             s2 = timed(est.estimate_noise_variance, d, h_ls, N, L0)
-            timed(est.estimate_markov_smm, d, L0, N, s2)
+            h_smm = timed(est.estimate_markov_smm, d, L0, N, s2)
+            pencil = build_hankel(h_smm)
+            for r in ORDERS:
+                reduced = reduce(pencil, r)
+                timed(impulse_response, reduced, N)
+                timed(frequency_response, reduced, grid_z)
             if rep == 0:
                 sizes.append({"seed": record.seed, "L0": L0, "N": N,
                               "M'": d.ns - L0 - N + 1})
@@ -94,8 +108,11 @@ def main() -> None:
     }
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["what"] = ("median over repeats of each estimation stage's time, "
-                   "summed over the records (seconds)")
+    doc["what"] = ("median over repeats of each stage's time, summed over the "
+                   "records (seconds): the estimation stages of one SMM fit, then "
+                   "impulse_response (N blocks) and frequency_response (the "
+                   f"{cfg.grid_count}-point pipeline grid) of its Hankel "
+                   f"reductions at orders {', '.join(map(str, ORDERS))}")
     doc["records"] = sizes
     doc["repeats"] = args.repeats
     doc["environment"] = {

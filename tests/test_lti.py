@@ -13,6 +13,7 @@ from pencilid import (
     DimensionError,
     FormatError,
     MarkovSequence,
+    PoleHit,
     SignalSequence,
     SingularE,
     descriptor_to_standard,
@@ -60,16 +61,85 @@ def test_impulse_response_formula():
         Ak = model.A @ Ak
 
 
-def test_frequency_response_formula():
+def _per_point_response(model, z):
+    """Reference: H(z) = C (zE - A)^{-1} B + D solved at each point."""
+    E = model.E if model.E is not None else np.eye(model.n)
+    return np.array([model.C @ np.linalg.solve(zk * E - model.A, model.B)
+                     + model.d_matrix() for zk in z])
+
+
+def _count_solves(monkeypatch):
+    """Record every linear solve made through numpy or scipy."""
+    calls = []
+    for module, name in ((np.linalg, "solve"), (scipy.linalg, "solve"),
+                         (scipy.linalg, "lu_solve")):
+        def counting(*args, _solve=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _well_conditioned_e(rng, n, spread=2.0):
+    """Symmetric E with eigenvalues in [e^-spread, e^spread]."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q @ np.diag(np.exp(rng.uniform(-spread, spread, size=n))) @ Q.T
+
+
+def test_frequency_response_formula(monkeypatch):
+    # The modal form serves well-conditioned models; a defective A and a
+    # singular E are solved point by point (one solve per point).
     rng = np.random.default_rng(11)
-    model = random_stable_model(rng, 4, with_d=True)
+    E = _well_conditioned_e(rng, 4)
+    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    loewner_like = DescriptorModel(
+        A=E @ A, B=E @ (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))),
+        C=rng.normal(size=(2, 4)) - 1j * rng.normal(size=(2, 4)),
+        D=rng.normal(size=(2, 3)), E=E, ts=1.0)
+    cases = [
+        (random_stable_model(rng, 4, with_d=True), False),
+        (DescriptorModel(A=[[0.5, 1.0], [0.0, 0.5]], B=[[0.0], [1.0]],
+                         C=[[1.0, 0.0]], ts=1.0), True),
+        (DescriptorModel(A=[[0.5, 0], [0, 0.5]], B=[[1.0], [1.0]],
+                         C=[[1.0, 1.0]], E=[[1.0, 0.0], [0.0, 0.0]], ts=1.0), True),
+        (loewner_like, False),
+    ]
     z = np.exp(1j * np.linspace(0.1, 3.0, 7))
-    H = frequency_response(model, z)
-    for k, zk in enumerate(z):
-        ref = model.C @ np.linalg.solve(
-            zk * np.eye(4) - model.A, model.B
-        ) + model.D
-        assert np.allclose(H[k], ref, atol=1e-12)
+    calls = _count_solves(monkeypatch)
+    for model, per_point in cases:
+        calls.clear()
+        H = frequency_response(model, z)
+        solves = len(calls)
+        assert H.shape == (len(z), model.ny, model.nu)
+        assert solves == len(z) if per_point else solves <= 2
+        ref = _per_point_response(model, z)
+        assert np.allclose(H, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def test_frequency_response_pole_hit():
+    # A point on a pole raises, naming the point as the caller passed it.
+    for model in (DescriptorModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], ts=1.0),
+                  DescriptorModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], E=[[2.0]], ts=1.0)):
+        with pytest.raises(PoleHit, match=r"evaluation point 0\.5 hits a pole"):
+            frequency_response(model, [1j, 0.5])
+
+
+def test_frequency_response_solves_once(monkeypatch):
+    # One eigendecomposition serves every point: the solves do not grow
+    # with the grid.
+    rng = np.random.default_rng(30)
+    model = random_stable_model(rng, 30, with_d=True)
+    E = _well_conditioned_e(rng, 30, spread=1.0)
+    desc = DescriptorModel(A=E @ model.A, B=E @ model.B, C=model.C, D=model.D,
+                           E=E, ts=1.0)
+    calls = _count_solves(monkeypatch)
+    counts = []
+    for K in (200, 7):
+        calls.clear()
+        frequency_response(desc, np.exp(1j * np.linspace(0.0, np.pi, K)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_discretize_zoh_matches_scipy():
@@ -139,10 +209,7 @@ def test_conjugate_symmetry(seed, n, theta):
 def test_descriptor_to_standard_preserves_impulse(seed, n):
     rng = np.random.default_rng(seed)
     model = random_stable_model(rng, n, with_d=True)
-    # Well-conditioned random E (cond <= 1e6 by construction).
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    scales = np.exp(rng.uniform(-2, 2, size=n))
-    E = Q @ np.diag(scales) @ Q.T
+    E = _well_conditioned_e(rng, n)
     desc = DescriptorModel(A=E @ model.A, B=E @ model.B, C=model.C,
                            D=model.D, E=E, ts=1.0)
     std = descriptor_to_standard(desc)
@@ -160,18 +227,39 @@ def test_impulse_response_solves_with_e_once(monkeypatch):
     # E is folded into A and B once, not solved with at every step.
     rng = np.random.default_rng(4)
     model = random_stable_model(rng, 10)
-    Q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
-    E = Q @ np.diag(np.exp(rng.uniform(-1, 1, size=10))) @ Q.T
+    E = _well_conditioned_e(rng, 10, spread=1.0)
     desc = DescriptorModel(A=E @ model.A, B=E @ model.B, C=model.C, E=E, ts=1.0)
-    calls = []
-    for module, name in ((np.linalg, "solve"), (scipy.linalg, "solve"),
-                         (scipy.linalg, "lu_solve")):
-        def counting(*args, _solve=getattr(module, name), **kwargs):
-            calls.append(name)
-            return _solve(*args, **kwargs)
-        monkeypatch.setattr(module, name, counting)
+    calls = _count_solves(monkeypatch)
     impulse_response(desc, 50)
     assert len(calls) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       complex_entries=st.booleans(), with_e=st.booleans(),
+       log_split=st.floats(-8.0, 0.0))
+def test_frequency_response_matches_per_point_solve(seed, n, complex_entries,
+                                                    with_e, log_split):
+    # Two eigenvalues lie 10**log_split apart, so cond(V) spans both sides
+    # of the modal form's guard.
+    rng = np.random.default_rng(seed)
+    draw = ((lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            if complex_entries else (lambda *shape: rng.normal(size=shape)))
+    lam = rng.uniform(-0.6, 0.6, size=n)
+    if complex_entries:
+        lam = lam + 1j * rng.uniform(-0.6, 0.6, size=n)
+    if n > 1:
+        lam[1] = lam[0] + 10.0 ** log_split
+    Q, _ = np.linalg.qr(draw(n, n))
+    A = Q @ (np.diag(lam) + np.triu(draw(n, n), 1)) @ Q.conj().T
+    B, C, D = draw(n, 2), draw(2, n), draw(2, 2)
+    E = _well_conditioned_e(rng, n) if with_e else None
+    model = DescriptorModel(A=A if E is None else E @ A, B=B if E is None else E @ B,
+                            C=C, D=D, E=E, ts=1.0)
+    z = np.exp(1j * np.linspace(-3.1, 3.1, 16))
+    H = frequency_response(model, z)
+    ref = _per_point_response(model, z)
+    assert np.abs(H - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 # --- persistence ------------------------------------------------------------
