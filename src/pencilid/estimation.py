@@ -29,7 +29,7 @@ from .errors import (
     OutOfRange,
     RankDeficientRegressor,
 )
-from .lti import MarkovSequence, SignalSequence
+from .lti import MarkovSequence, SignalSequence, sigma_min_exceeds
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,17 @@ def build_behavioral(dataset: Dataset, L0: int, N: int) -> BehavioralMatrices:
 
 
 def check_persistency(U: np.ndarray, rank_rtol: float = 1e-10) -> tuple[bool, int]:
-    """Numerical row rank of a data matrix via SVD.
+    """Numerical row rank of a data matrix.
 
-    Returns (full_row_rank, numerical_rank).  The cutoff is
-    ``rank_rtol * sigma_max * max(shape)``.
+    Returns (full_row_rank, numerical_rank): the number of singular values
+    above ``rank_rtol * sigma_max * max(shape)``.  A Cholesky certificate
+    (``lti.sigma_min_exceeds``) proves full row rank of a well-conditioned
+    U without an SVD; otherwise the singular values are counted.
     """
     if U.size == 0:
         return U.shape[0] == 0, 0
+    if sigma_min_exceeds(U, rank_rtol * max(U.shape)):
+        return True, U.shape[0]
     rank = _numerical_rank(np.linalg.svd(U, compute_uv=False), rank_rtol, max(U.shape))
     return rank == U.shape[0], rank
 
@@ -153,10 +157,12 @@ def estimate_markov_ls(dataset: Dataset, N: int,
                        rank_rtol: float = 1e-10) -> MarkovSequence:
     """Least-squares FIR estimate of the first N Markov parameter blocks.
 
-    One QR factorization of [U_reg | Y_reg] serves both steps: the singular
-    values of its leading N nu triangular block are those of U_reg, which
-    must have full column rank (the ``check_persistency`` cutoff), and the
-    coefficients follow from a triangular solve.
+    One QR factorization of [U_reg | Y_reg] serves both steps: its leading
+    N nu triangular block R11 has the singular values of U_reg, which must
+    have full column rank (the ``check_persistency`` cutoff), and the
+    coefficients follow from a triangular solve.  A Cholesky certificate on
+    R11 clears a well-conditioned regressor; otherwise the singular values
+    of R11 are counted.
     """
     if N < 1:
         raise OutOfRange("N must be >= 1")
@@ -167,10 +173,12 @@ def estimate_markov_ls(dataset: Dataset, N: int,
     U_reg, Y_reg = _ls_regression(dataset, N)
     n = N * dataset.nu
     R = scipy.linalg.qr(np.hstack([U_reg, Y_reg]), mode="r", overwrite_a=True)[0]
-    rank = _numerical_rank(np.linalg.svd(R[:n, :n], compute_uv=False),
-                           rank_rtol, max(U_reg.shape))
-    if rank < n:
-        raise RankDeficientRegressor(f"regression matrix rank {rank} < {n}")
+    # Full column rank of R11 is full row rank of its transpose.
+    if not sigma_min_exceeds(R[:n, :n].T, rank_rtol * max(U_reg.shape)):
+        rank = _numerical_rank(np.linalg.svd(R[:n, :n], compute_uv=False),
+                               rank_rtol, max(U_reg.shape))
+        if rank < n:
+            raise RankDeficientRegressor(f"regression matrix rank {rank} < {n}")
     H_stack = scipy.linalg.solve_triangular(R[:n, :n], R[:n, n:])
     # row k * nu + j of H_stack is input j of h_k
     blocks = H_stack.reshape(N, dataset.nu, dataset.ny).transpose(0, 2, 1)

@@ -276,11 +276,13 @@ def frequency_response(model: DescriptorModel, points: Sequence[complex]) -> np.
 def _modal_form(model: DescriptorModel) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues lam of E^{-1}A and the residues r_i = (CV)_i (V^{-1}E^{-1}B)_i
     as an (n, ny*nu) matrix, or None when E or V is too ill-conditioned or
-    the decomposition fails (non-finite entries, no states)."""
+    the decomposition fails (non-finite entries, no states).  cond(V) is
+    taken by SVD only when the Cholesky certificate does not clear V."""
     try:
         std = descriptor_to_standard(model)
         lam, V = np.linalg.eig(std.A)
-        if np.linalg.cond(V) > _V_COND_LIMIT:
+        if (not sigma_min_exceeds(V, 1 / _V_COND_LIMIT)
+                and np.linalg.cond(V) > _V_COND_LIMIT):
             return None
         VinvB = np.linalg.solve(V, std.B)
     except (SingularE, np.linalg.LinAlgError):
@@ -294,14 +296,55 @@ def descriptor_to_standard(model: DescriptorModel) -> DescriptorModel:
 
     The one place a model's E is inverted, by one LU solve of E against
     [A | B]; raises :class:`SingularE` when cond(E) exceeds ``_E_COND_LIMIT``.
+    A Cholesky certificate (:func:`sigma_min_exceeds`) clears a
+    well-conditioned E; any other E is judged by the SVD's cond(E).
     """
     if model.E is None:
         return model
-    if np.linalg.cond(model.E) > _E_COND_LIMIT:
+    if (not sigma_min_exceeds(model.E, 1 / _E_COND_LIMIT)
+            and np.linalg.cond(model.E) > _E_COND_LIMIT):
         raise SingularE(f"cond(E) exceeds {_E_COND_LIMIT:g}")
     AB = np.linalg.solve(model.E, np.hstack([model.A, model.B]))
     return DescriptorModel(A=AB[:, :model.n], B=AB[:, model.n:], C=model.C,
                            D=model.D, E=None, ts=model.ts)
+
+
+def sigma_min_exceeds(M: np.ndarray, rel: float) -> bool:
+    """True only when one Cholesky factorization proves
+    sigma_min(M) > rel * ||M||_F, and so sigma_min(M) > rel * sigma_max(M):
+    M has full row rank and a condition number below 1 / rel.  False proves
+    nothing, and the caller then decides by SVD.  False comes at once when M
+    has more rows than columns, and without a factorization when
+    t = ||M||_F^2 is not finite or lies outside [1e-150, 1e150] (inside that
+    range the Gram below neither overflows nor loses accuracy to underflow).
+
+    The proof.  Let G = M M^H, so trace(G) = t, with n <= m the shape of M
+    and u = eps / 2.  The computed Gram is within gamma_{m+2} t of G in the
+    2-norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.5 and 3.6; the + 2 covers complex products), the diagonal
+    shift adds at most u t, and a Cholesky factorization that runs to the
+    end is exact for a matrix within gamma_{n+1} ||R||_F^2 ~ gamma_{n+1} t
+    of the one it was given (Theorem 10.3).  Success on G - tau I thus
+    proves lambda_min(G) > tau - (n + m + 6) u t to first order.  With
+    tau = (2 rel^2 + 2 (n + m + 6) eps) t, four times that margin, what is
+    left covers the higher-order terms and the rounding of t, and
+    sigma_min(M)^2 > 2 rel^2 t.  The factor 2 keeps the SVD's own rounding
+    at its cutoff from contradicting the proof.
+    """
+    n, m = M.shape
+    if n > m:
+        return False
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite: not proven
+        G = M @ M.conj().T
+    t = np.trace(G).real
+    if not 1e-150 <= t <= 1e150:
+        return False
+    G[np.diag_indices(n)] -= (2 * rel**2 + 2 * (n + m + 6) * np.finfo(float).eps) * t
+    try:
+        scipy.linalg.cho_factor(G, overwrite_a=True)
+    except (scipy.linalg.LinAlgError, ValueError):  # not definite, or not finite
+        return False
+    return True
 
 
 def discretize_zoh(model: DescriptorModel, ts: float) -> DescriptorModel:

@@ -37,6 +37,7 @@ from .estimation import (
 from .lti import (
     DescriptorModel,
     MarkovSequence,
+    descriptor_to_standard,
     discretize_zoh,
     frequency_response,
     impulse_response,
@@ -280,8 +281,10 @@ def _quantiles(values: Sequence[float]) -> dict:
 def _model_metrics(model: DescriptorModel, h_true: MarkovSequence,
                    H_true: np.ndarray, grid_z: np.ndarray):
     """W_h and W_H of a model against the truth's responses, with the
-    model's impulse and frequency responses."""
+    model's impulse and frequency responses, both taken from one standard
+    form of the model."""
     with _step("step 4: model evaluation"):
+        model = descriptor_to_standard(model)
         h_model = impulse_response(model, len(h_true))
         H_model = frequency_response(model, grid_z)
     metrics = {

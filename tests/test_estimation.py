@@ -27,6 +27,7 @@ from pencilid.estimation import (
     _SIGMA2_FLOOR_REL,
     BehavioralMatrices,
     _ls_regression,
+    _numerical_rank,
     _smm_g,
     _smm_solver,
     block_hankel,
@@ -34,6 +35,7 @@ from pencilid.estimation import (
     check_persistency,
     n_max_bound,
 )
+from pencilid.lti import sigma_min_exceeds
 from conftest import exact_markov, fir_model, noise_free_dataset, random_stable_model
 
 
@@ -147,6 +149,70 @@ def test_ls_rank_cutoff_is_check_persistency_cutoff():
     assert not check_persistency(U_reg.T, 1.1 * edge)[0]
     with pytest.raises(RankDeficientRegressor, match=r"< 8$"):
         estimate_markov_ls(ds, N, rank_rtol=1.1 * edge)
+
+
+def test_ls_white_noise_regressor_takes_no_svd(monkeypatch):
+    # A well-conditioned regressor is cleared by the Cholesky certificate.
+    rng = np.random.default_rng(2)
+    ds = generate_experiment(random_stable_model(rng, 4, rho=0.8), 400, 1e-6, seed=1)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    estimate_markov_ls(ds, 60)
+    assert shapes == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), extra=st.integers(0, 12),
+       complex_entries=st.booleans(), log_rel=st.floats(-7.0, -1.0),
+       log_offset=st.floats(-0.5, 0.5))
+def test_rank_certificate_agrees_with_svd_rule(seed, n, extra, complex_entries,
+                                               log_rel, log_offset):
+    # M = U diag(s) V^H with s_max = 1 and s_min at 10**log_offset times the
+    # SVD rule's cutoff rank_rtol * s_max * max(shape): check_persistency
+    # returns the rule's verdict and rank, and the certificate never clears
+    # a matrix the rule calls deficient.
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    draw = ((lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            if complex_entries else (lambda *shape: rng.normal(size=shape)))
+    rel = 10.0 ** log_rel
+    rank_rtol = rel / m
+    s = np.sort(np.exp(rng.uniform(np.log(rel), 0.0, size=n)))[::-1]
+    s[0], s[-1] = 1.0, rel * 10.0 ** log_offset
+    U, _ = np.linalg.qr(draw(n, n))
+    V, _ = np.linalg.qr(draw(m, n))
+    M = (U * s) @ V.conj().T
+    sv = np.linalg.svd(M, compute_uv=False)
+    rank = _numerical_rank(sv, rank_rtol, m)
+    assert check_persistency(M, rank_rtol) == (rank == n, rank)
+    certified = sigma_min_exceeds(M, rel)
+    if certified:
+        assert rank == n
+    # The proof's margin is the only slack: a clear case is certified.
+    t = np.sum(sv**2)
+    if sv[-1] ** 2 > (2 * rel**2 + 4 * (n + m + 6) * np.finfo(float).eps) * t:
+        assert certified
+    # A tall matrix, the transpose of a wide one, is never certified.
+    assert extra == 0 or not sigma_min_exceeds(M.T, rel)
+
+
+def test_check_persistency_non_finite():
+    # The certificate declines non-finite data; the SVD rule answers as
+    # before: NaN makes the SVD fail, inf reads as rank 0.
+    U = np.random.default_rng(0).normal(size=(4, 9))
+    U[1, 2] = np.nan
+    assert not sigma_min_exceeds(U, 1e-9)
+    with pytest.raises(np.linalg.LinAlgError):
+        check_persistency(U)
+    U[1, 2] = np.inf
+    assert not sigma_min_exceeds(U, 1e-9)
+    assert check_persistency(U) == (False, 0)
 
 
 def test_ls_rejects_oversized_horizon():

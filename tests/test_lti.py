@@ -1,6 +1,7 @@
 """Model simulation and response evaluation against independent oracles."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,45 @@ def test_singular_e_rejected():
     )
     with pytest.raises(SingularE):
         impulse_response(model, 5)
+
+
+def test_cond_e_limit_boundary(monkeypatch):
+    # E is singular beyond cond(E) = 1e12 and not below it.  The SVD's
+    # cond(E) is taken only where the Cholesky certificate cannot clear E.
+    rng = np.random.default_rng(12)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    calls = []
+    cond = np.linalg.cond
+
+    def counting_cond(*args, **kwargs):
+        calls.append(1)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    for c, singular, svd_taken in ((2e12, True, True), (5e11, False, True),
+                                   (10.0, False, False)):
+        E = Q @ np.diag([1.0, 0.5, 1.0 / c]) @ Q.T
+        model = DescriptorModel(A=0.5 * E, B=[[1.0], [0.0], [1.0]],
+                                C=[[1.0, 1.0, 0.0]], E=E, ts=1.0)
+        calls.clear()
+        if singular:
+            with pytest.raises(SingularE, match=r"^cond\(E\) exceeds 1e\+12$"):
+                descriptor_to_standard(model)
+        else:
+            assert descriptor_to_standard(model).E is None
+        assert len(calls) == int(svd_taken)
+
+
+def test_frequency_response_non_finite():
+    # A NaN in A or E gives NaN responses, silently, through the fallback.
+    z = np.exp(1j * np.linspace(0.1, 3.0, 4))
+    for A, E in ((np.array([[0.5, np.nan], [0.0, 0.2]]), None),
+                 (np.diag([0.5, 0.2]), np.array([[1.0, np.nan], [0.0, 1.0]]))):
+        model = DescriptorModel(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)), E=E, ts=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = frequency_response(model, z)
+        assert H.shape == (4, 1, 1) and np.isnan(H).all()
 
 
 # --- invariants (randomized, >= 100 cases each) ----------------------------

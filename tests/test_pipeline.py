@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pencilid import (
     MethodUnsupported,
@@ -20,6 +21,7 @@ from pencilid import (
     run_smm_hf,
     run_smm_lf,
 )
+from pencilid import estimation
 from pencilid.estimation import build_behavioral, check_persistency, n_max_bound
 from pencilid.lti import load_model
 from pencilid.metrics import eval_grid_logspace, h2_freq_error, h2_impulse_error
@@ -57,22 +59,39 @@ def test_pipelines_noise_free_recovery():
     assert np.max(np.abs(h_got - h_true)) <= 1e-6 * np.abs(h_true).max()
 
 
-def test_smm_fit_takes_one_svd_of_the_input_window(monkeypatch):
+def test_smm_fit_decides_the_input_window_once(monkeypatch):
     # select_N and the SMM check the rank of the same depth-(L0 + N) input
-    # window; the fit takes its SVD once.
+    # window; the fit decides it once.  On white noise the window is well
+    # conditioned, so one Cholesky of its Gram decides it without an SVD.
     rng = np.random.default_rng(0)
     ds = generate_experiment(random_stable_model(rng, 4, rho=0.8), 400, 1e-6, seed=1)
-    shapes = []
-    svd = np.linalg.svd
+    certified, svd_shapes, cholesky_shapes = [], [], []
+    certificate, svd, cho_factor = (estimation.sigma_min_exceeds, np.linalg.svd,
+                                    scipy.linalg.cho_factor)
+
+    def recording_certificate(M, rel):
+        cholesky_shapes.clear()
+        verdict = certificate(M, rel)
+        certified.append((np.shape(M), verdict, list(cholesky_shapes)))
+        return verdict
 
     def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def recording_cho_factor(a, *args, **kwargs):
+        cholesky_shapes.append(np.shape(a))
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "sigma_min_exceeds", recording_certificate)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
     _, report = run_smm_hf(ds, PipelineConfig(method="smm-hf"))
     depth = report["L0"] + report["N"]
-    assert shapes.count((depth * ds.nu, ds.ns - depth + 1)) == 1
+    window = (depth * ds.nu, ds.ns - depth + 1)
+    assert ([c for c in certified if c[0] == window]
+            == [(window, True, [(depth * ds.nu,) * 2])])
+    assert window not in svd_shapes
 
 
 def test_baseline_rejects_non_baseline_method():
