@@ -3,17 +3,20 @@
 
     python3 bench/estimation_stages.py --label change --out BENCH_x.json
     python3 bench/estimation_stages.py --src ../base/src --label base --out BENCH_x.json
+    python3 bench/estimation_stages.py --ns 2000 5000 10000 --label change --out BENCH_x.json
 
-Each repeat takes a fresh copy of every record (N_s = 2000, the building
-surrogate, output-noise variance 1e-7) and runs the stages in pipeline
+For each record length given by ``--ns`` (default 2000), each repeat takes a
+fresh copy of every record (the building surrogate, output-noise variance
+1e-7) and runs the stages in pipeline
 order: ``select_L0`` (untimed), ``select_N``, the LS estimate, the noise
 variance and the SMM estimate.  The SMM estimate's Hankel pencil (smm-hf)
 is then reduced to orders 10, 20, 30, 40 and 48 (untimed), and each model's
 N impulse-response blocks and its frequency response on the pipeline's
 200-point grid are timed as two more stages.  A stage's time is the median
 over repeats of its summed time over the records.  The labelled result is
-merged into ``--out``, so two source trees measured in turn share one file.
-BLAS is pinned to one thread.
+merged into ``--out`` under its record length, so two source trees measured
+in turn share one file.  BLAS is pinned to one thread.  The script has no
+machine-speed calibration: compare two trees run back to back.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ def main() -> None:
     ap.add_argument("--out", required=True, help="JSON file to merge into")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    ap.add_argument("--ns", type=int, nargs="+", default=[2000],
+                    help="record lengths to measure, one after the other")
     args = ap.parse_args()
     if args.repeats < 3:
         ap.error("--repeats must be at least 3")
@@ -64,48 +69,51 @@ def main() -> None:
     cfg = PipelineConfig()
     _, grid_z = eval_grid_logspace(cfg.grid_wmin, cfg.grid_wmax, cfg.grid_count,
                                    model.ts)
-    records = [generate_experiment(model, 2000, 1e-7, seed=s) for s in args.seeds]
-    L0s = [est.select_L0(est.cross_correlation(d)) for d in records]
 
     def fresh(d):
         # New signal objects: nothing computed by an earlier repeat is reused.
         return Dataset(u=SignalSequence(d.u.samples, d.u.ts),
                        y=SignalSequence(d.y.samples, d.y.ts))
 
-    totals = {name: [] for name in STAGES}
-    sizes = []
-    for rep in range(args.repeats + 1):  # the first pass warms up, untimed
-        spent = dict.fromkeys(STAGES, 0.0)
+    def measure(ns):
+        records = [generate_experiment(model, ns, 1e-7, seed=s) for s in args.seeds]
+        L0s = [est.select_L0(est.cross_correlation(d)) for d in records]
+        totals = {name: [] for name in STAGES}
+        sizes = []
+        for rep in range(args.repeats + 1):  # the first pass warms up, untimed
+            spent = dict.fromkeys(STAGES, 0.0)
 
-        def timed(fn, *fn_args):
-            t = time.perf_counter()
-            value = fn(*fn_args)
-            spent[fn.__name__] += time.perf_counter() - t
-            return value
+            def timed(fn, *fn_args):
+                t = time.perf_counter()
+                value = fn(*fn_args)
+                spent[fn.__name__] += time.perf_counter() - t
+                return value
 
-        for record, L0 in zip(records, L0s):
-            d = fresh(record)
-            N = timed(est.select_N, d, L0)
-            h_ls = timed(est.estimate_markov_ls, d, N)
-            s2 = timed(est.estimate_noise_variance, d, h_ls, N, L0)
-            h_smm = timed(est.estimate_markov_smm, d, L0, N, s2)
-            pencil = build_hankel(h_smm)
-            for r in ORDERS:
-                reduced = reduce(pencil, r)
-                timed(impulse_response, reduced, N)
-                timed(frequency_response, reduced, grid_z)
-            if rep == 0:
-                sizes.append({"seed": record.seed, "L0": L0, "N": N,
-                              "M'": d.ns - L0 - N + 1})
-        if rep:
-            for name in STAGES:
-                totals[name].append(spent[name])
+            for record, L0 in zip(records, L0s):
+                d = fresh(record)
+                N = timed(est.select_N, d, L0)
+                h_ls = timed(est.estimate_markov_ls, d, N)
+                s2 = timed(est.estimate_noise_variance, d, h_ls, N, L0)
+                h_smm = timed(est.estimate_markov_smm, d, L0, N, s2)
+                pencil = build_hankel(h_smm)
+                for r in ORDERS:
+                    reduced = reduce(pencil, r)
+                    timed(impulse_response, reduced, N)
+                    timed(frequency_response, reduced, grid_z)
+                if rep == 0:
+                    sizes.append({"seed": record.seed, "L0": L0, "N": N,
+                                  "M'": d.ns - L0 - N + 1})
+            if rep:
+                for name in STAGES:
+                    totals[name].append(spent[name])
+        return sizes, {
+            "repeats": args.repeats,
+            "stages_s": {name: statistics.median(v) for name, v in totals.items()},
+            "total_s": statistics.median(map(sum, zip(*totals.values()))),
+            "runs_s": totals,
+        }
 
-    result = {
-        "stages_s": {name: statistics.median(v) for name, v in totals.items()},
-        "total_s": statistics.median(map(sum, zip(*totals.values()))),
-        "runs_s": totals,
-    }
+    measured = {str(ns): measure(ns) for ns in args.ns}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["what"] = ("median over repeats of each stage's time, summed over the "
@@ -113,16 +121,19 @@ def main() -> None:
                    "impulse_response (N blocks) and frequency_response (the "
                    f"{cfg.grid_count}-point pipeline grid) of its Hankel "
                    f"reductions at orders {', '.join(map(str, ORDERS))}")
-    doc["records"] = sizes
-    doc["repeats"] = args.repeats
+    doc.setdefault("records", {}).update(
+        {ns: sizes for ns, (sizes, _) in measured.items()})
     doc["environment"] = {
         "nproc": os.cpu_count(), "blas_threads": 1,
         "python": platform.python_version(), "numpy": np.__version__,
         "scipy": scipy.__version__, "machine": platform.machine(),
     }
-    doc.setdefault("results", {})[args.label] = result
+    doc.setdefault("results", {}).setdefault(args.label, {}).update(
+        {ns: result for ns, (_, result) in measured.items()})
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps({args.label: result["stages_s"], "total_s": result["total_s"]}))
+    for ns, (_, result) in measured.items():
+        print(json.dumps({args.label: {"ns": int(ns), **result["stages_s"],
+                                       "total_s": result["total_s"]}}))
 
 
 if __name__ == "__main__":

@@ -29,7 +29,8 @@ from .errors import (
     OutOfRange,
     RankDeficientRegressor,
 )
-from .lti import MarkovSequence, SignalSequence, sigma_min_exceeds
+from .lti import (MarkovSequence, SignalSequence, gram_sigma_min_exceeds,
+                  sigma_min_exceeds)
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,9 @@ class BehavioralMatrices:
         return self.Up.shape[1]
 
 
-def block_hankel(signal: SignalSequence, depth: int, start: int = 0,
-                 cols: Optional[int] = None) -> np.ndarray:
-    """Block-Hankel matrix of a signal window.
-
-    Block row i, column j holds the sample at time ``start + i + j``; the
-    channels of one sample are stacked consecutively, so the row ordering for
-    a 2-channel signal of depth 2 is [ch1(k); ch2(k); ch1(k+1); ch2(k+1)].
-    """
+def _window_cols(signal: SignalSequence, depth: int, start: int,
+                 cols: Optional[int]) -> int:
+    """Column count of a valid window; raises OutOfRange otherwise."""
     K = len(signal)
     if cols is None:
         cols = K - start - depth + 1
@@ -87,10 +83,87 @@ def block_hankel(signal: SignalSequence, depth: int, start: int = 0,
         raise OutOfRange(
             f"window needs {start + depth + cols - 1} samples, signal has {K}"
         )
+    return cols
+
+
+def block_hankel(signal: SignalSequence, depth: int, start: int = 0,
+                 cols: Optional[int] = None) -> np.ndarray:
+    """Block-Hankel matrix of a signal window.
+
+    Block row i, column j holds the sample at time ``start + i + j``; the
+    channels of one sample are stacked consecutively, so the row ordering for
+    a 2-channel signal of depth 2 is [ch1(k); ch2(k); ch1(k+1); ch2(k+1)].
+    """
+    cols = _window_cols(signal, depth, start, cols)
     # (cols, nch, depth) view: [j, c, i] is channel c at time start + i + j
     window = sliding_window_view(signal.samples[start : start + depth + cols - 1],
                                  depth, axis=0)
     return window.transpose(2, 1, 0).reshape(-1, cols).copy()
+
+
+def _correlations(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """C[k, i, j] = sum_n a[n + k, i] v[n, j] for k = 0 .. len(a) - len(v),
+    one direct correlation per channel pair."""
+    return np.stack([[np.correlate(a[:, i], v[:, j], mode="valid")
+                      for j in range(v.shape[1])]
+                     for i in range(a.shape[1])]).transpose(2, 0, 1)
+
+
+def _window_gram(signal: SignalSequence, depth: int, start: int = 0,
+                 cols: Optional[int] = None) -> np.ndarray:
+    """W W' for W = ``block_hankel(signal, depth, start, cols)``, without W.
+
+    With x_s the sample at time start + s, block (i, k) of the Gram is
+    sum_j x_{i+j} x_{k+j}' over the M = cols columns, so
+    block (i + 1, k + 1) = block (i, k) - x_i x_k' + x_{i+M} x_{k+M}'.  The
+    first block row takes one correlation per channel pair, the first block
+    column is its transpose, and the recurrence fills the rest one block row
+    at a time: O(M depth c^2 + (depth c)^2) for c channels, against
+    O(M (depth c)^2) for the product.  The result is exactly symmetric;
+    non-finite samples give a non-finite Gram without a warning.
+
+    Rounding.  Entry (r, q) in block (i, k) is a sum of M + 2 min(i, k)
+    products, so its error is at most gamma_{M + 2 depth} S_rq, where S is
+    |W_e| |W_e|' + |W_p| |W_p|' for the window W_e extended to the left to
+    the segment's first sample (zeros where a row has no earlier sample)
+    and W_p its columns before W's.  Hence
+    |error_rq| <= 2 gamma_{M + 2 depth} sqrt(e_r e_q), e_r the energy of row
+    r's channel from the segment's start to row r's last sample, and
+    ||error||_2 <= gamma_{M + 2 depth} (t + 2 p), t = trace(W W') and
+    p = ||W_p||_F^2.
+    """
+    cols = _window_cols(signal, depth, start, cols)
+    x = signal.samples[start : start + depth + cols - 1]
+    c = x.shape[1]
+    n = depth * c
+    G = np.empty((n, n))
+    G[:c] = _correlations(x, x[:cols]).transpose(2, 0, 1).reshape(c, n)
+    G[c:, :c] = G[:c, c:].T
+    head, tail = x[: depth - 1].ravel(), x[cols : cols + depth - 1].ravel()
+    step, drop = np.empty((c, n - c)), np.empty((c, n - c))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r in range(c, n, c):
+            np.multiply(tail[r - c : r, None], tail, out=step)
+            np.multiply(head[r - c : r, None], head, out=drop)
+            step -= drop
+            np.add(G[r - c : r, :-c], step, out=G[r : r + c, c:])
+    return G
+
+
+def _window_certified(signal: SignalSequence, G: np.ndarray, depth: int,
+                      rel: float) -> bool:
+    """``lti.gram_sigma_min_exceeds`` for G = ``_window_gram(signal, depth)``:
+    True only when sigma_min(W) > rel ||W||_F for the full window W.  The
+    fill's error bound gamma_{M + 2 depth} (t + 2 p) enters as the error
+    count m = (M + 2 depth)(1 + 2 p / t)."""
+    cols = len(signal) - depth + 1
+    if len(G) > cols:
+        return False
+    energy = np.sum(signal.samples[: depth - 1] ** 2, axis=1)
+    p = float(np.dot(np.arange(depth - 1, 0, -1), energy))
+    t = float(np.trace(G))
+    m = (cols + 2 * depth) * (1 + 2 * p / t) if t > 0 else np.inf
+    return gram_sigma_min_exceeds(G, rel, m)
 
 
 def build_behavioral(dataset: Dataset, L0: int, N: int) -> BehavioralMatrices:
@@ -120,6 +193,11 @@ def check_persistency(U: np.ndarray, rank_rtol: float = 1e-10) -> tuple[bool, in
         return U.shape[0] == 0, 0
     if sigma_min_exceeds(U, rank_rtol * max(U.shape)):
         return True, U.shape[0]
+    return _svd_rank(U, rank_rtol)
+
+
+def _svd_rank(U: np.ndarray, rank_rtol: float) -> tuple[bool, int]:
+    """``check_persistency``'s verdict from the singular values of U."""
     rank = _numerical_rank(np.linalg.svd(U, compute_uv=False), rank_rtol, max(U.shape))
     return rank == U.shape[0], rank
 
@@ -133,11 +211,18 @@ def _numerical_rank(s: np.ndarray, rank_rtol: float, size: int) -> int:
 def _input_window_rank(dataset: Dataset, depth: int,
                        rank_rtol: float) -> tuple[bool, int]:
     """``check_persistency`` of the depth-``depth`` input window, taken once
-    per input signal: ``select_N`` and the SMM check the same window."""
+    per input signal: ``select_N`` and the SMM check the same window.  The
+    certificate runs on the window's structured Gram; the SVD of the window
+    itself runs only when it fails."""
     memo = dataset.u.window_ranks
     if (depth, rank_rtol) not in memo:
-        memo[depth, rank_rtol] = check_persistency(block_hankel(dataset.u, depth),
-                                                   rank_rtol)
+        rows, cols = depth * dataset.nu, dataset.ns - depth + 1
+        G = _window_gram(dataset.u, depth)
+        if _window_certified(dataset.u, G, depth, rank_rtol * max(rows, cols)):
+            memo[depth, rank_rtol] = (True, rows)
+        else:
+            memo[depth, rank_rtol] = _svd_rank(block_hankel(dataset.u, depth),
+                                               rank_rtol)
     return memo[depth, rank_rtol]
 
 
@@ -153,16 +238,24 @@ def _ls_regression(dataset: Dataset, N: int) -> tuple[np.ndarray, np.ndarray]:
     return U_reg, dataset.y.samples[N - 1 :]
 
 
+# The normal equations square cond(U_reg); they are solved only for a
+# regressor certified to have sigma_min > this times ||U_reg||_F.
+_NORMAL_EQUATIONS_REL = 1e-3
+
+
 def estimate_markov_ls(dataset: Dataset, N: int,
                        rank_rtol: float = 1e-10) -> MarkovSequence:
     """Least-squares FIR estimate of the first N Markov parameter blocks.
 
-    One QR factorization of [U_reg | Y_reg] serves both steps: its leading
-    N nu triangular block R11 has the singular values of U_reg, which must
-    have full column rank (the ``check_persistency`` cutoff), and the
-    coefficients follow from a triangular solve.  A Cholesky certificate on
-    R11 clears a well-conditioned regressor; otherwise the singular values
-    of R11 are counted.
+    The regressor U_reg must have full column rank (the ``check_persistency``
+    cutoff).  When the Cholesky certificate on the structured Gram
+    U_reg' U_reg (``_window_gram``) proves that, with cond(U_reg) small
+    enough for the normal equations (``_NORMAL_EQUATIONS_REL``), a Cholesky
+    solve of the normal equations, whose right side is one correlation of u
+    and y, gives the coefficients.  Otherwise one QR factorization of
+    [U_reg | Y_reg] serves both steps: its leading N nu triangular block R11
+    has the singular values of U_reg, which a Cholesky certificate on R11
+    clears or the SVD of R11 counts, and a triangular solve follows.
     """
     if N < 1:
         raise OutOfRange("N must be >= 1")
@@ -170,18 +263,28 @@ def estimate_markov_ls(dataset: Dataset, N: int,
         raise OutOfRange(
             f"N={N} too large for N_s={dataset.ns} (need N < (N_s+1)/2)"
         )
-    U_reg, Y_reg = _ls_regression(dataset, N)
     n = N * dataset.nu
-    R = scipy.linalg.qr(np.hstack([U_reg, Y_reg]), mode="r", overwrite_a=True)[0]
-    # Full column rank of R11 is full row rank of its transpose.
-    if not sigma_min_exceeds(R[:n, :n].T, rank_rtol * max(U_reg.shape)):
-        rank = _numerical_rank(np.linalg.svd(R[:n, :n], compute_uv=False),
-                               rank_rtol, max(U_reg.shape))
-        if rank < n:
-            raise RankDeficientRegressor(f"regression matrix rank {rank} < {n}")
-    H_stack = scipy.linalg.solve_triangular(R[:n, :n], R[:n, n:])
-    # row k * nu + j of H_stack is input j of h_k
-    blocks = H_stack.reshape(N, dataset.nu, dataset.ny).transpose(0, 2, 1)
+    rel = rank_rtol * max(dataset.ns - N + 1, n)
+    G = _window_gram(dataset.u, N)
+    if _window_certified(dataset.u, G, N, max(rel, _NORMAL_EQUATIONS_REL)):
+        # U_reg' is the depth-N input window with its block rows reversed:
+        # solve in window order and read the taps back reversed.
+        r = _correlations(dataset.u.samples, dataset.y.samples[N - 1 :])
+        H = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G), r.reshape(n, -1))
+        # row i * nu + j of H is input j of h_{N-1-i}
+        blocks = H.reshape(N, dataset.nu, dataset.ny)[::-1].transpose(0, 2, 1)
+    else:
+        U_reg, Y_reg = _ls_regression(dataset, N)
+        R = scipy.linalg.qr(np.hstack([U_reg, Y_reg]), mode="r", overwrite_a=True)[0]
+        # Full column rank of R11 is full row rank of its transpose.
+        if not sigma_min_exceeds(R[:n, :n].T, rel):
+            rank = _numerical_rank(np.linalg.svd(R[:n, :n], compute_uv=False),
+                                   rank_rtol, max(U_reg.shape))
+            if rank < n:
+                raise RankDeficientRegressor(f"regression matrix rank {rank} < {n}")
+        H_stack = scipy.linalg.solve_triangular(R[:n, :n], R[:n, n:])
+        # row k * nu + j of H_stack is input j of h_k
+        blocks = H_stack.reshape(N, dataset.nu, dataset.ny).transpose(0, 2, 1)
     return MarkovSequence(np.ascontiguousarray(blocks), ts=dataset.ts)
 
 
@@ -196,19 +299,26 @@ def estimate_noise_variance(dataset: Dataset, h_ls: MarkovSequence, N: int,
     noise): a shorter fit leaves the tail of h in the residual and inflates
     the estimate.  When N_var = N the N-tap estimate ``h_ls`` is reused;
     otherwise the wider fit is solved here, minimum-norm, so its residual is
-    defined even where the regressor is rank deficient.
+    defined even where the regressor is rank deficient.  The residual is
+    taken from the data, by filtering u with the fit (direct convolution,
+    O(N_s N_var)), not from a Gram, whose ||y||^2 - h'r would cancel digits.
     """
     N_var = N if L0 is None else max(N, min(L0 + 1, dataset.ns // 2))
     if N_var >= dataset.ns:
         raise DegenerateDenominator(f"N={N_var} >= N_s={dataset.ns}")
-    U_reg, Y_reg = _ls_regression(dataset, N_var)
     if N_var == N:
-        H_stack = np.ascontiguousarray(
-            h_ls.blocks.transpose(0, 2, 1).reshape(N * dataset.nu, dataset.ny))
+        blocks = h_ls.blocks
     else:
+        U_reg, Y_reg = _ls_regression(dataset, N_var)
         H_stack, *_ = np.linalg.lstsq(U_reg, Y_reg, rcond=None)
-    resid = U_reg @ H_stack - Y_reg
-    return float(np.sum(resid**2) / (dataset.ns - N_var))
+        blocks = H_stack.reshape(N_var, dataset.nu, dataset.ny).transpose(0, 2, 1)
+    u = dataset.u.samples
+    # sum_k h_k u_{t-k} for t = N_var - 1 .. N_s - 1
+    fit = np.stack([sum(np.convolve(u[:, j], blocks[:, i, j], mode="valid")
+                        for j in range(dataset.nu))
+                    for i in range(dataset.ny)], axis=1)
+    return float(np.sum((dataset.y.samples[N_var - 1 :] - fit) ** 2)
+                 / (dataset.ns - N_var))
 
 
 def cross_correlation(dataset: Dataset) -> np.ndarray:
@@ -285,42 +395,41 @@ def select_N(dataset: Dataset, L0: int, rank_rtol: float = 1e-10) -> int:
 _SIGMA2_FLOOR_REL = 1e-12  # times ||Yp||_2^2, keeps the Gram matrix invertible
 
 
-def _behavioral_checked(dataset: Dataset, L0: int, N: int,
-                        rank_rtol: float) -> BehavioralMatrices:
-    """``build_behavioral``, after checking that the input rows [Up; Uf] have
-    full row rank."""
-    bm = build_behavioral(dataset, L0, N)
-    full, rank = _input_window_rank(dataset, L0 + N, rank_rtol)
-    if not full:
-        raise NotPersistentlyExciting(
-            f"input data matrix rank {rank} < {(L0 + N) * dataset.nu} rows"
-        )
-    return bm
+def _smm_solver(G: np.ndarray, L0: int, nu: int, ny: int, sigma2: float):
+    """Predictor of the saddle-point solution from the window's Gram.
 
-
-def _smm_solver(bm: BehavioralMatrices, sigma2: float):
-    """Factorized pieces of the saddle-point solution.
-
-    Returns (solve_FYp, FiUt, solve_S) for F = Yp'Yp + c I, c = L' sigma2:
-    solve_FYp applies F^{-1} Yp', FiUt = F^{-1} U', and solve_S applies
-    (U F^{-1} U')^{-1}.  The M' x M' matrix F is never formed.  With the
-    L0 ny square K = c I + Yp Yp', the Woodbury identity gives
-    F^{-1} = (I - Yp' K^{-1} Yp) / c, and F^{-1} Yp' = Yp' K^{-1}; the
-    factorizations are of K and of the (L0 + N) nu square U F^{-1} U'.
-    U must have full row rank.
+    G is the Gram of the depth-(L0 + N) window of the stacked signal
+    [u | y] (``_window_gram``), so it holds the blocks UU', UYp', YpYp',
+    YfU' and YfYp' of the data matrices U = [Up; Uf], Yp and Yf, which share
+    M' columns.  Returns predict(rhs_u, y_ini=None) -> Yf g for
+    g = argmin g'Fg - 2 y_ini' Yp g subject to U g = rhs_u, with
+    F = Yp'Yp + c I and c = (L0 + N) sigma2.  With the L0 ny square
+    K = c I + Yp Yp', the Woodbury identity gives
+    F^{-1} = (I - Yp' K^{-1} Yp) / c and F^{-1} Yp' = Yp' K^{-1}, so
+    Yf g = YfU' v + YfYp' (K^{-1} y_ini - K^{-1} YpU' v) for
+    v = S^{-1} (rhs_u - UYp' K^{-1} y_ini) and
+    S = c U F^{-1} U' = UU' - UYp' K^{-1} YpU'.  The factorizations are of
+    K and of the (L0 + N) nu square S; no M'-wide matrix is formed.  U must
+    have full row rank.
     """
-    Yp, U = bm.Yp, bm.U
-    G = Yp @ Yp.T
-    yp_norm2 = np.linalg.eigvalsh(G)[-1] if G.size else 0.0  # ||Yp||_2^2
+    ch = nu + ny
+    L = len(G) // ch
+    G4 = G.reshape(L, ch, L, ch)
+    UU = G4[:, :nu, :, :nu].reshape(L * nu, L * nu)
+    YpYp = G4[:L0, nu:, :L0, nu:].reshape(L0 * ny, L0 * ny)
+    YpU = G4[:L0, nu:, :, :nu].reshape(L0 * ny, L * nu)
+    YfU = G4[L0:, nu:, :, :nu].reshape(-1, L * nu)
+    YfYp = G4[L0:, nu:, :L0, nu:].reshape(-1, L0 * ny)
+    yp_norm2 = np.linalg.eigvalsh(YpYp)[-1] if YpYp.size else 0.0  # ||Yp||_2^2
     floor = max(_SIGMA2_FLOOR_REL * yp_norm2, np.finfo(float).tiny)
     floored = sigma2 < floor
     if floored:
         sigma2 = floor
     cK = None
     while cK is None:
-        c = bm.L_total * sigma2
+        c = L * sigma2
         try:
-            cK = scipy.linalg.cho_factor(G + c * np.eye(len(G)))
+            cK = scipy.linalg.cho_factor(YpYp + c * np.eye(len(YpYp)))
         except scipy.linalg.LinAlgError:
             # The floor exists to keep K and F invertible; escalate it (a few
             # orders at most) before giving up.  User-supplied variances are
@@ -332,11 +441,8 @@ def _smm_solver(bm: BehavioralMatrices, sigma2: float):
                 "Gram matrix not positive definite; increase sigma2"
             ) from None
 
-    def solve_FYp(y):
-        return Yp.T @ scipy.linalg.cho_solve(cK, y)
-
-    FiUt = (U.T - Yp.T @ scipy.linalg.cho_solve(cK, Yp @ U.T)) / c
-    S = U @ FiUt
+    KYpU = scipy.linalg.cho_solve(cK, YpU)
+    S = UU - YpU.T @ KYpU
     S = 0.5 * (S + S.T)
     try:
         cS = scipy.linalg.cho_factor(S)
@@ -345,22 +451,33 @@ def _smm_solver(bm: BehavioralMatrices, sigma2: float):
             "saddle system U F^{-1} U' numerically singular; increase sigma2"
         ) from None
 
-    def solve_S(x):
-        return scipy.linalg.cho_solve(cS, x)
+    def predict(rhs_u, y_ini=None):
+        Ky = (np.zeros((len(YpYp),) + np.shape(rhs_u)[1:]) if y_ini is None
+              else scipy.linalg.cho_solve(cK, y_ini))
+        v = scipy.linalg.cho_solve(cS, rhs_u - YpU.T @ Ky)
+        return YfU @ v + YfYp @ (Ky - KYpU @ v)
 
-    return solve_FYp, FiUt, solve_S
+    return predict
 
 
-def _smm_g(bm: BehavioralMatrices, solve_FYp, FiUt, solve_S,
-           u_ini: np.ndarray, y_ini: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Trajectory selector g = argmin g'Fg - 2 y_ini' Yp g subject to
-    U g = [u_ini; u]."""
-    rhs_u = np.concatenate([u_ini, u])
-    g = FiUt @ solve_S(rhs_u)
-    if np.any(y_ini):
-        Fv = solve_FYp(y_ini)
-        g = g + Fv - FiUt @ solve_S(bm.U @ Fv)
-    return g
+def _smm_predictor(dataset: Dataset, L0: int, N: int, sigma2: float,
+                   rank_rtol: float):
+    """``_smm_solver`` on the record's depth-(L0 + N) [u | y] window Gram,
+    after checking that the input rows [Up; Uf] have full row rank."""
+    M = dataset.ns - L0 - N + 1
+    if M < 1:
+        raise OutOfRange(
+            f"N_s={dataset.ns} too short for L0={L0}, N={N} (M'={M})"
+        )
+    full, rank = _input_window_rank(dataset, L0 + N, rank_rtol)
+    if not full:
+        raise NotPersistentlyExciting(
+            f"input data matrix rank {rank} < {(L0 + N) * dataset.nu} rows"
+        )
+    stacked = SignalSequence(np.hstack([dataset.u.samples, dataset.y.samples]),
+                             ts=dataset.ts)
+    return _smm_solver(_window_gram(stacked, L0 + N), L0, dataset.nu, dataset.ny,
+                       sigma2)
 
 
 def estimate_markov_smm(dataset: Dataset, L0: int, N: int,
@@ -371,12 +488,11 @@ def estimate_markov_smm(dataset: Dataset, L0: int, N: int,
     windows and a unit impulse input; one solve takes the impulses of all
     input channels at once, each filling one block column.
     """
-    bm = _behavioral_checked(dataset, L0, N, rank_rtol)
-    _, FiUt, solve_S = _smm_solver(bm, sigma2)
+    predict = _smm_predictor(dataset, L0, N, sigma2, rank_rtol)
     nu = dataset.nu
     impulses = np.zeros(((L0 + N) * nu, nu))
     impulses[L0 * nu:(L0 + 1) * nu] = np.eye(nu)
-    yhat = bm.Yf @ (FiUt @ solve_S(impulses))
+    yhat = predict(impulses)
     return MarkovSequence(yhat.reshape(N, dataset.ny, nu), ts=dataset.ts)
 
 
@@ -398,7 +514,5 @@ def data_driven_response(dataset: Dataset, u_ini, y_ini, u,
     if y_ini.size // ny != L0:
         raise OutOfRange("u_ini and y_ini must cover the same past window")
     N = u.size // nu
-    bm = _behavioral_checked(dataset, L0, N, rank_rtol)
-    solve_FYp, FiUt, solve_S = _smm_solver(bm, sigma2)
-    g = _smm_g(bm, solve_FYp, FiUt, solve_S, u_ini, y_ini, u)
-    return (bm.Yf @ g).reshape(N, ny)
+    predict = _smm_predictor(dataset, L0, N, sigma2, rank_rtol)
+    return predict(np.concatenate([u_ini, u]), y_ini).reshape(N, ny)

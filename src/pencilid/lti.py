@@ -185,8 +185,8 @@ def _realify(x: np.ndarray) -> tuple[np.ndarray, float]:
     scale = float(np.linalg.norm(x.real))
     if scale > 0 and max_imag > _IMAG_WARN_RATIO * scale:
         warnings.warn(
-            f"imaginary leakage {max_imag:.3e} exceeds {_IMAG_WARN_RATIO:g} "
-            "of the response norm", stacklevel=3,
+            f"imaginary leakage {max_imag / scale:.3e} of the response norm "
+            f"exceeds {_IMAG_WARN_RATIO:g}", stacklevel=3,
         )
     return np.ascontiguousarray(x.real), max_imag
 
@@ -313,35 +313,52 @@ def sigma_min_exceeds(M: np.ndarray, rel: float) -> bool:
     """True only when one Cholesky factorization proves
     sigma_min(M) > rel * ||M||_F, and so sigma_min(M) > rel * sigma_max(M):
     M has full row rank and a condition number below 1 / rel.  False proves
-    nothing, and the caller then decides by SVD.  False comes at once when M
-    has more rows than columns, and without a factorization when
-    t = ||M||_F^2 is not finite or lies outside [1e-150, 1e150] (inside that
-    range the Gram below neither overflows nor loses accuracy to underflow).
-
-    The proof.  Let G = M M^H, so trace(G) = t, with n <= m the shape of M
-    and u = eps / 2.  The computed Gram is within gamma_{m+2} t of G in the
-    2-norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    sections 3.5 and 3.6; the + 2 covers complex products), the diagonal
-    shift adds at most u t, and a Cholesky factorization that runs to the
-    end is exact for a matrix within gamma_{n+1} ||R||_F^2 ~ gamma_{n+1} t
-    of the one it was given (Theorem 10.3).  Success on G - tau I thus
-    proves lambda_min(G) > tau - (n + m + 6) u t to first order.  With
-    tau = (2 rel^2 + 2 (n + m + 6) eps) t, four times that margin, what is
-    left covers the higher-order terms and the rounding of t, and
-    sigma_min(M)^2 > 2 rel^2 t.  The factor 2 keeps the SVD's own rounding
-    at its cutoff from contradicting the proof.
+    nothing, and the caller then decides by SVD.  False comes at once when
+    M has more rows than columns; otherwise the certificate is
+    :func:`gram_sigma_min_exceeds` on the computed Gram M M^H, with m the
+    column count of M.
     """
     n, m = M.shape
     if n > m:
         return False
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite: not proven
         G = M @ M.conj().T
+    return gram_sigma_min_exceeds(G, rel, m)
+
+
+def gram_sigma_min_exceeds(G: np.ndarray, rel: float, m: float) -> bool:
+    """True only when one Cholesky factorization of a shifted G proves
+    sigma_min(M) > rel * ||M||_F for the n-row M whose exact Gram M M^H the
+    given n x n G approximates within gamma_{m+2} t in the 2-norm, where
+    t = trace(G) = ||M||_F^2 and gamma_k = k u / (1 - k u), u = eps / 2.  A
+    computed product M M^H meets that with m the column count of M (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5
+    and 3.6; the + 2 covers complex products).  A Gram filled another way
+    passes the m its own error bound gives: a bound gamma_k t' with t' >= t
+    is met by m = k t' / t.  False proves nothing.  False comes without a
+    factorization when t is not finite or lies outside [1e-150, 1e150]
+    (inside that range the Gram neither overflows nor loses accuracy to
+    underflow).  G is not modified.
+
+    The proof.  The diagonal shift adds at most u t, and a Cholesky
+    factorization that runs to the end is exact for a matrix within
+    gamma_{n+1} ||R||_F^2 ~ gamma_{n+1} t of the one it was given
+    (Theorem 10.3).  Success on G - tau I thus proves
+    lambda_min(M M^H) > tau - (n + m + 6) u t to first order.  With
+    tau = (2 rel^2 + 2 (n + m + 6) eps) t, four times that margin, what is
+    left covers the higher-order terms and the rounding of t, and
+    sigma_min(M)^2 > 2 rel^2 t.  The factor 2 keeps the SVD's own rounding
+    at its cutoff from contradicting the proof.
+    """
+    n = len(G)
     t = np.trace(G).real
     if not 1e-150 <= t <= 1e150:
         return False
-    G[np.diag_indices(n)] -= (2 * rel**2 + 2 * (n + m + 6) * np.finfo(float).eps) * t
+    tau = (2 * rel**2 + 2 * (n + m + 6) * np.finfo(float).eps) * t
+    shifted = G.copy()
+    shifted[np.diag_indices(n)] -= tau
     try:
-        scipy.linalg.cho_factor(G, overwrite_a=True)
+        scipy.linalg.cho_factor(shifted, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError):  # not definite, or not finite
         return False
     return True

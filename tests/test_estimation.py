@@ -28,14 +28,15 @@ from pencilid.estimation import (
     BehavioralMatrices,
     _ls_regression,
     _numerical_rank,
-    _smm_g,
     _smm_solver,
+    _window_certified,
+    _window_gram,
     block_hankel,
     build_behavioral,
     check_persistency,
     n_max_bound,
 )
-from pencilid.lti import sigma_min_exceeds
+from pencilid.lti import gram_sigma_min_exceeds, sigma_min_exceeds
 from conftest import exact_markov, fir_model, noise_free_dataset, random_stable_model
 
 
@@ -56,6 +57,47 @@ def test_block_hankel_multichannel_order():
     H = block_hankel(sig, depth=2)
     # Channel-major within a time step: [ch1(k); ch2(k); ch1(k+1); ch2(k+1)].
     assert np.array_equal(H, [[1, 2], [10, 20], [2, 3], [20, 30]])
+
+
+def _gamma(k):
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from([(1, 1), (2, 3)]),
+       depth=st.integers(1, 16), start=st.integers(0, 6), cols=st.integers(1, 60),
+       burst=st.booleans())
+def test_window_gram_is_the_window_product(seed, shape, depth, start, cols, burst):
+    # The structured Gram of a stacked [u | y] window equals W W' of the
+    # explicit block_hankel window within the bound its docstring states
+    # (plus the product's own rounding).  Channels sit on different scales,
+    # and a burst at the segment's start loads the recurrence's extension.
+    rng = np.random.default_rng(seed)
+    nu, ny = shape
+    ch = nu + ny
+    x = rng.normal(size=(start + depth + cols - 1 + rng.integers(0, 3), ch))
+    x *= np.logspace(-2, 2, ch)
+    if burst:
+        x[start : start + depth] *= 1e4
+    sig = SignalSequence(x)
+    G = _window_gram(sig, depth, start, cols)
+    W = block_hankel(sig, depth, start, cols)
+    assert G.shape == (depth * ch,) * 2 and np.array_equal(G, G.T)
+    # W_e: W extended to the left to the segment's first sample, zeros
+    # where a row has no earlier sample; W_p: its columns before W's.
+    seg = np.vstack([np.zeros((depth - 1, ch)), x[start : start + depth + cols - 1]])
+    W_e = block_hankel(SignalSequence(seg), depth, 0, cols + depth - 1)
+    W_p = W_e[:, : depth - 1]
+    S = np.abs(W_e) @ np.abs(W_e).T + np.abs(W_p) @ np.abs(W_p).T
+    bound = _gamma(cols + 2 * depth) * S + _gamma(cols) * (np.abs(W) @ np.abs(W).T)
+    assert np.all(np.abs(G - W @ W.T) <= bound)
+    # The certificate on the structured Gram clears only full-rank windows.
+    for rel in (1e-8, 1e-2, 0.3):
+        if _window_certified(SignalSequence(x[start:]), _window_gram(
+                SignalSequence(x[start:]), depth), depth, rel):
+            full = block_hankel(SignalSequence(x[start:]), depth)
+            assert np.linalg.svd(full, compute_uv=False)[-1] > rel * np.linalg.norm(full)
 
 
 @settings(max_examples=100, deadline=None)
@@ -135,6 +177,29 @@ def test_rank_deficient_input_is_rejected():
         data_driven_response(ds, np.zeros(4), np.zeros(4), np.zeros(10), 1e-4)
 
 
+def test_periodic_input_has_no_valid_horizon():
+    # Every window deeper than the period is rank deficient: select_N walks
+    # N down to 1 and gives up with the same error as the SVD rule.
+    ds = _periodic_input_dataset(3, 200)
+    with pytest.raises(NoValidN,
+                       match=r"^no horizon yields a full-row-rank input data matrix$"):
+        select_N(ds, L0=3)
+    assert select_N(ds, L0=1) == 2
+
+
+def test_rank_deficient_mimo_regressor_is_rejected():
+    # The second input repeats the first, so the regressor has rank N of 2 N.
+    rng = np.random.default_rng(1)
+    u0 = rng.normal(size=200)
+    u = SignalSequence(np.column_stack([u0, u0]), ts=1.0)
+    ds = Dataset(u=u, y=simulate(random_stable_model(rng, 2, nu=2), u))
+    with pytest.raises(RankDeficientRegressor, match=r"regression matrix rank 8 < 16$"):
+        estimate_markov_ls(ds, 8)
+    with pytest.raises(NotPersistentlyExciting,
+                       match=r"input data matrix rank 10 < 20 rows$"):
+        estimate_markov_smm(ds, 2, 8, 1e-4)
+
+
 def test_ls_rank_cutoff_is_check_persistency_cutoff():
     # The fit is refused exactly when rank_rtol * s_max * max(U_reg.shape)
     # passes the regressor's smallest singular value.
@@ -200,6 +265,19 @@ def test_rank_certificate_agrees_with_svd_rule(seed, n, extra, complex_entries,
         assert certified
     # A tall matrix, the transpose of a wide one, is never certified.
     assert extra == 0 or not sigma_min_exceeds(M.T, rel)
+    # The Gram-taking core decides the same on the computed product, and on
+    # a Gram moved toward singularity along the weakest direction by what
+    # its error count k allows beyond the product's own rounding, it still
+    # certifies only a matrix the rule calls full rank.
+    G = M @ M.conj().T
+    assert gram_sigma_min_exceeds(G, rel, m) == certified
+    k = 3 * m + 40
+    weakest = np.linalg.svd(M)[0][:, -1:]
+    G_moved = G - _gamma(k - m - 2) * t * (weakest @ weakest.conj().T)
+    if gram_sigma_min_exceeds(G_moved, rel, k):
+        assert rank == n
+    if sv[-1] ** 2 > (2 * rel**2 + 4 * (n + k + 6) * np.finfo(float).eps) * t:
+        assert gram_sigma_min_exceeds(G_moved, rel, k)
 
 
 def test_check_persistency_non_finite():
@@ -387,9 +465,11 @@ def test_smm_invariant_under_column_permutation(seed):
     u = rng.normal(size=N)
     y_hat = []
     for b in (bm, bm_p):
-        solve_F, FiUt, solve_S = _smm_solver(b, 1e-2)
-        g = _smm_g(b, solve_F, FiUt, solve_S, u_ini, y_ini, u)
-        y_hat.append(b.Yf @ g)
+        # The stacked [u | y] window interleaves the rows of U and Y.
+        W = np.empty((2 * (L0 + N), b.cols))
+        W[0::2], W[1::2] = b.U, np.vstack([b.Yp, b.Yf])
+        predict = _smm_solver(W @ W.T, L0, 1, 1, 1e-2)
+        y_hat.append(predict(np.concatenate([u_ini, u]), y_ini))
     scale = max(np.abs(y_hat[0]).max(), 1e-30)
     assert np.max(np.abs(y_hat[0] - y_hat[1])) <= 1e-10 * scale
 

@@ -28,6 +28,7 @@ from pencilid import (
     save_model,
     simulate,
 )
+from pencilid.lti import _realify
 from conftest import random_stable_model
 
 
@@ -40,6 +41,20 @@ def _hand_simulate(A, B, C, D, u):
         ys.append(C @ x + D @ uk)
         x = A @ x + B @ uk
     return np.asarray(ys)
+
+
+def test_imaginary_leakage_warning_reports_the_ratio():
+    # Peak |Im| 6e-6 against ||Re|| = 5: the warning prints the ratio 1.2e-6
+    # that it compares with the limit, not the absolute peak.
+    with pytest.warns(UserWarning) as caught:
+        real, max_imag = _realify(np.array([3.0 + 6e-6j, 4.0]))
+    assert [str(w.message) for w in caught] == [
+        "imaginary leakage 1.200e-06 of the response norm exceeds 1e-06"]
+    assert np.array_equal(real, [3.0, 4.0]) and max_imag == 6e-6
+    # A peak of 4e-6 is 8e-7 of the norm: below the limit, no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _realify(np.array([3.0 + 4e-6j, 4.0]))
 
 
 def test_simulate_matches_reference_loop():

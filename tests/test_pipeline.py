@@ -66,13 +66,13 @@ def test_smm_fit_decides_the_input_window_once(monkeypatch):
     rng = np.random.default_rng(0)
     ds = generate_experiment(random_stable_model(rng, 4, rho=0.8), 400, 1e-6, seed=1)
     certified, svd_shapes, cholesky_shapes = [], [], []
-    certificate, svd, cho_factor = (estimation.sigma_min_exceeds, np.linalg.svd,
+    certificate, svd, cho_factor = (estimation.gram_sigma_min_exceeds, np.linalg.svd,
                                     scipy.linalg.cho_factor)
 
-    def recording_certificate(M, rel):
+    def recording_certificate(G, rel, m):
         cholesky_shapes.clear()
-        verdict = certificate(M, rel)
-        certified.append((np.shape(M), verdict, list(cholesky_shapes)))
+        verdict = certificate(G, rel, m)
+        certified.append((np.shape(G), verdict, list(cholesky_shapes)))
         return verdict
 
     def recording_svd(a, *args, **kwargs):
@@ -83,14 +83,15 @@ def test_smm_fit_decides_the_input_window_once(monkeypatch):
         cholesky_shapes.append(np.shape(a))
         return cho_factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(estimation, "sigma_min_exceeds", recording_certificate)
+    monkeypatch.setattr(estimation, "gram_sigma_min_exceeds", recording_certificate)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(scipy.linalg, "cho_factor", recording_cho_factor)
     _, report = run_smm_hf(ds, PipelineConfig(method="smm-hf"))
     depth = report["L0"] + report["N"]
     window = (depth * ds.nu, ds.ns - depth + 1)
-    assert ([c for c in certified if c[0] == window]
-            == [(window, True, [(depth * ds.nu,) * 2])])
+    gram = (depth * ds.nu,) * 2
+    assert ([c for c in certified if c[0] == gram]
+            == [(gram, True, [(depth * ds.nu,) * 2])])
     assert window not in svd_shapes
 
 
