@@ -13,10 +13,13 @@ variance and the SMM estimate.  The SMM estimate's Hankel pencil (smm-hf)
 is then reduced to orders 10, 20, 30, 40 and 48 (untimed), and each model's
 N impulse-response blocks and its frequency response on the pipeline's
 200-point grid are timed as two more stages.  A stage's time is the median
-over repeats of its summed time over the records.  The labelled result is
-merged into ``--out`` under its record length, so two source trees measured
-in turn share one file.  BLAS is pinned to one thread.  The script has no
-machine-speed calibration: compare two trees run back to back.
+over repeats of its summed time over the records.  Every operation is
+timed through perfbench's calibrated stopwatch (``perfbench/calibrate.py``),
+which scales it to the reference machine speed, so stage times taken in
+fast and slow phases of a shared host compare; raw wall times are kept
+beside.  The labelled result is merged into ``--out`` under its record
+length, so two source trees measured in turn share one file.  BLAS is
+pinned to one thread.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import json
 import platform
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,8 +57,10 @@ def main() -> None:
         ap.error("--repeats must be at least 3")
 
     sys.path.insert(0, args.src)
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
     import scipy
+    from calibrate import Stopwatch
 
     from pencilid import estimation as est
     from pencilid.dataio import Dataset, generate_experiment
@@ -79,14 +83,16 @@ def main() -> None:
         records = [generate_experiment(model, ns, 1e-7, seed=s) for s in args.seeds]
         L0s = [est.select_L0(est.cross_correlation(d)) for d in records]
         totals = {name: [] for name in STAGES}
+        raw = {name: [] for name in STAGES}
         sizes = []
         for rep in range(args.repeats + 1):  # the first pass warms up, untimed
-            spent = dict.fromkeys(STAGES, 0.0)
+            sw = Stopwatch()
+            timings = []
 
             def timed(fn, *fn_args):
-                t = time.perf_counter()
-                value = fn(*fn_args)
-                spent[fn.__name__] += time.perf_counter() - t
+                with sw.measure() as t:
+                    value = fn(*fn_args)
+                timings.append((fn.__name__, t))
                 return value
 
             for record, L0 in zip(records, L0s):
@@ -103,21 +109,25 @@ def main() -> None:
                 if rep == 0:
                     sizes.append({"seed": record.seed, "L0": L0, "N": N,
                                   "M'": d.ns - L0 - N + 1})
+            sw.finish()
             if rep:
                 for name in STAGES:
-                    totals[name].append(spent[name])
+                    totals[name].append(sum(t.cal for n, t in timings if n == name))
+                    raw[name].append(sum(t.raw for n, t in timings if n == name))
         return sizes, {
             "repeats": args.repeats,
             "stages_s": {name: statistics.median(v) for name, v in totals.items()},
             "total_s": statistics.median(map(sum, zip(*totals.values()))),
             "runs_s": totals,
+            "raw_runs_s": raw,
         }
 
     measured = {str(ns): measure(ns) for ns in args.ns}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["what"] = ("median over repeats of each stage's time, summed over the "
-                   "records (seconds): the estimation stages of one SMM fit, then "
+    doc["what"] = ("median over repeats of each stage's calibrated time "
+                   "(seconds at the reference speed of perfbench/calibrate.py), "
+                   "summed over the records: the estimation stages of one SMM fit, then "
                    "impulse_response (N blocks) and frequency_response (the "
                    f"{cfg.grid_count}-point pipeline grid) of its Hankel "
                    f"reductions at orders {', '.join(map(str, ORDERS))}")

@@ -40,9 +40,10 @@ from .pencils import reduce, save_singular_values
 from .pipeline import (
     METHODS,
     PipelineConfig,
+    build_pencil,
     building_surrogate,
     estimate,
-    pencil_stage,
+    hint_stage,
     run_benchmark,
     run_method,
 )
@@ -147,7 +148,7 @@ def _cmd_svd(args) -> int:
         data, kind = load_frequency_samples(args.frequency), "loewner"
     else:
         raise PencilIdError("pass --markov (Hankel) or --frequency (Loewner)")
-    _, report, _ = pencil_stage(data, args.partition)
+    _, report = hint_stage(data, args.partition)
     out = _out_dir(args)
     save_singular_values(report.singular_values, out / "singular_values.csv")
     print(f"{kind} matrix: {len(report.singular_values)} singular values, "
@@ -166,8 +167,9 @@ def _cmd_reduce(args) -> int:
         if not args.frequency:
             raise PencilIdError("reduce loewner needs --frequency")
         data = load_frequency_samples(args.frequency)
-    pencil, sv, _ = pencil_stage(data, args.partition)
-    model = reduce(pencil, sv.order_gap if args.order == "auto" else int(args.order))
+    r = (hint_stage(data, args.partition)[1].order_gap if args.order == "auto"
+         else int(args.order))
+    model = reduce(build_pencil(data, args.partition), r)
     out = _out_dir(args)
     save_model(model, out / "model.json")
     print(f"order-{model.n} model -> {out / 'model.json'}")

@@ -6,7 +6,8 @@ realization (H, Hs, first block column, first block row, h_0); the Loewner
 pencil is the descriptor realization (L, Ls, -V, W), whose data sit on the
 unit circle, so it lives in complex arithmetic.  One :func:`reduce` truncates
 either: a two-sided projection with the dominant singular subspaces of E
-alone, so no polynomial (D-term) behavior is forced into the model.
+alone, so no polynomial (D-term) behavior is forced into the model, and the
+reduced E is the diagonal of the leading singular values.
 """
 
 from __future__ import annotations
@@ -176,16 +177,23 @@ def build_hankel(h: MarkovSequence) -> Pencil:
 def reduce(pencil: Pencil, r: int) -> DescriptorModel:
     """Project the pencil onto the dominant-r singular subspaces of ``E``.
 
-    D passes through.  Exact (reproduces the data the pencil holds) when r
-    equals the numerical rank of ``E``.
+    With E = X diag(s) Y^H (the pencil's one SVD), the model is
+    (E, A, B, C, D) = (diag(s_1 .. s_r), X_r^H A Y_r, X_r^H B, C Y_r, D): the
+    projection X_r^H E Y_r equals diag(s_1 .. s_r) in exact arithmetic, so it
+    is read off the SVD instead of formed.  The model keeps its E, so cond(E)
+    is judged where the model is evaluated.  Exact (reproduces the data the
+    pencil holds) when r equals the numerical rank of ``E``.  Raises
+    :class:`DimensionError` when ``E`` is zero.
     """
     if not 1 <= r <= min(pencil.E.shape):
         raise OrderError(f"order {r} outside [1, {min(pencil.E.shape)}]")
-    X, _, Vh = pencil.svd
+    X, s, Vh = pencil.svd
+    if s[0] == 0:
+        raise DimensionError("matrix is zero; no order to reveal")
     Xh = X[:, :r].conj().T
     Yr = Vh[:r].conj().T
     return DescriptorModel(A=Xh @ pencil.A @ Yr, B=Xh @ pencil.B, C=pencil.C @ Yr,
-                           D=pencil.D, E=Xh @ pencil.E @ Yr, ts=pencil.ts)
+                           D=pencil.D, E=np.diag(s[:r]), ts=pencil.ts)
 
 
 # Names kept for callers that name the pencil kind.

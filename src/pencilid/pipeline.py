@@ -123,33 +123,60 @@ def estimate(dataset: Dataset, tuning: TuningConfig, estimator: str,
         return estimate_markov_smm(dataset, L0, N, sigma2_hat), tune
 
 
-def pencil_stage(data: Union[MarkovSequence, FrequencySamples],
-                 scheme: str) -> tuple[Pencil, SvdReport, dict]:
-    """Pencil of the data and the SVD report whose gap gives the order hint.
+def _loewner_step(name: str) -> str:
+    return ("step 3d: alternate Loewner" if name == "alternate"
+            else "step 3b: half-half Loewner")
+
+
+def build_pencil(data: Union[MarkovSequence, FrequencySamples],
+                 scheme: str) -> Pencil:
+    """The pencil a model is reduced from, and nothing else.
 
     Impulse coefficients give the Hankel pencil; frequency samples give the
     Loewner pencil of the partition ``scheme``, where ``combined`` takes the
-    alternate pencil and the half-half decay.  Also returns every decay the
-    stage computed, by name, for the run report.
+    alternate pencil.  No SVD is taken: a caller that fixes the order
+    needs none beyond the one :func:`reduce` takes.
     """
     if isinstance(data, MarkovSequence):
         with _step("step 3a: Hankel pencil"):
-            pencil = build_hankel(data)
-        with _step("step 3b: Hankel SVD"):
-            sv = svd_order(pencil)
-        return pencil, sv, {"hankel": sv.singular_values.tolist()}
-    model_scheme, hint_scheme = (("alternate", "half-half") if scheme == "combined"
-                                 else (scheme, scheme))
-    pencils, svs = {}, {}
-    for name, label in (("half-half", "step 3b: half-half Loewner"),
-                        ("alternate", "step 3d: alternate Loewner")):
-        if name in (model_scheme, hint_scheme):
-            with _step(label):
-                pencils[name] = build_loewner(*partition(data, name), scheme=name)
-                svs[name] = svd_order(pencils[name])
-    decays = {f"loewner_{name.replace('-', '_')}": sv.singular_values.tolist()
-              for name, sv in svs.items()}
-    return pencils[model_scheme], svs[hint_scheme], decays
+            return build_hankel(data)
+    name = "alternate" if scheme == "combined" else scheme
+    with _step(_loewner_step(name)):
+        return build_loewner(*partition(data, name), scheme=name)
+
+
+def hint_stage(data: Union[MarkovSequence, FrequencySamples],
+               scheme: str) -> tuple[Pencil, SvdReport]:
+    """The pencil whose singular-value decay gives the order hint, and the
+    SVD report of that decay, whose gap is the hint.
+
+    That is :func:`build_pencil`'s pencil, except under ``combined``, whose
+    hint reads the half-half Loewner decay.
+    """
+    pencil = build_pencil(data, "half-half" if scheme == "combined" else scheme)
+    with _step("step 3b: Hankel SVD" if pencil.scheme == "hankel"
+               else _loewner_step(pencil.scheme)):
+        return pencil, svd_order(pencil)
+
+
+def pencil_stage(data: Union[MarkovSequence, FrequencySamples],
+                 scheme: str) -> tuple[Pencil, SvdReport, dict]:
+    """:func:`build_pencil`'s pencil and :func:`hint_stage`'s SVD report.
+
+    Also returns every decay the stage computed, by name, for the run
+    report: under ``combined`` the alternate pencil's decay beside the
+    half-half one.
+    """
+    pencil, sv = hint_stage(data, scheme)
+    key = ("hankel" if pencil.scheme == "hankel"
+           else "loewner_" + pencil.scheme.replace("-", "_"))
+    decays = {key: sv.singular_values.tolist()}
+    if scheme != "combined" or isinstance(data, MarkovSequence):
+        return pencil, sv, decays
+    pencil = build_pencil(data, scheme)
+    with _step(_loewner_step(pencil.scheme)):
+        decays["loewner_alternate"] = svd_order(pencil).singular_values.tolist()
+    return pencil, sv, decays
 
 
 def _fit(dataset: Dataset, cfg: PipelineConfig, method: str,

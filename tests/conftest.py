@@ -46,3 +46,17 @@ def fir_model(coeffs, nu=1, ny=1):
 
 def exact_markov(model, N):
     return impulse_response(model, N)
+
+
+def count_svd_calls(monkeypatch):
+    """Count every ``np.linalg.svd`` call from now on; returns the list the
+    calls append to."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls

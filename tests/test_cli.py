@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from pencilid import load_markov, load_model, reduce, save_model
+from pencilid import (MarkovSequence, load_markov, load_model, reduce, save_markov,
+                      save_model)
 from pencilid.cli import main
 from pencilid.pipeline import pencil_stage
 from pencilid.spectral import load_frequency_samples
+from conftest import count_svd_calls
 
 
 def run(args):
@@ -90,6 +92,31 @@ def test_reduce_is_library_reduce(workdir, tmp_path):
                    tmp_path / f"{kind}.json")
         assert ((tmp_path / kind / "model.json").read_bytes()
                 == (tmp_path / f"{kind}.json").read_bytes())
+
+
+@pytest.mark.parametrize("kind, flag, name, order, svds", [
+    ("hankel", "--markov", ("e", "impulse.csv"), 10, 1),
+    ("loewner", "--frequency", ("f", "frequency.csv"), 10, 1),
+    # the half-half decay for the hint, then the alternate pencil's SVD
+    ("loewner", "--frequency", ("f", "frequency.csv"), "auto", 2),
+], ids=["hankel", "loewner", "loewner-auto"])
+def test_reduce_takes_one_svd_per_pencil(workdir, tmp_path, monkeypatch,
+                                         kind, flag, name, order, svds):
+    calls = count_svd_calls(monkeypatch)
+    assert run(["reduce", kind, flag, workdir.joinpath(*name), "--order", order,
+                "--partition", "combined", "--out", tmp_path]) == 0
+    assert len(calls) == svds
+
+
+def test_reduce_zero_data_exits_2(tmp_path, capsys):
+    save_markov(MarkovSequence(np.zeros(20), ts=0.015), tmp_path / "zero.csv")
+    assert run(["fft", "--markov", tmp_path / "zero.csv", "--out", tmp_path]) == 0
+    for kind, flag, path in (("hankel", "--markov", tmp_path / "zero.csv"),
+                             ("loewner", "--frequency", tmp_path / "frequency.csv")):
+        capsys.readouterr()
+        assert run(["reduce", kind, flag, path, "--order", 2,
+                    "--out", tmp_path / kind]) == 2
+        assert "matrix is zero" in capsys.readouterr().err
 
 
 def test_run_pipeline(workdir):

@@ -21,7 +21,7 @@ from pencilid import (
 from pencilid.errors import PointCollision
 from pencilid.pencils import save_singular_values
 from pencilid.spectral import FrequencySamples, markov_to_frequency
-from conftest import exact_markov, random_stable_model
+from conftest import count_svd_calls, exact_markov, random_stable_model
 
 
 def _samples_of_model(model, count, offset=0.05):
@@ -279,18 +279,6 @@ def test_hankel_truncation_error_bound():
 
 # --- one reduce, one SVD per pencil ---------------------------------------------------
 
-def _count_svd_calls(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    return calls
-
-
 def _hankel_of(model):
     return build_hankel(exact_markov(model, 16))
 
@@ -304,10 +292,32 @@ def _loewner_of(model):
 def test_reduce_shares_one_svd(monkeypatch, build):
     rng = np.random.default_rng(6)
     p = build(random_stable_model(rng, 4, rho=0.8))
-    calls = _count_svd_calls(monkeypatch)
+    calls = count_svd_calls(monkeypatch)
     models = [reduce(p, r) for r in (1, 3, 4)]
     assert len(calls) == 1
     assert [m.n for m in models] == [1, 3, 4]
+
+
+@pytest.mark.parametrize("build", [pytest.param(_hankel_of, id="hankel"),
+                                   pytest.param(_loewner_of, id="loewner")])
+def test_reduced_e_is_leading_singular_values(build):
+    p = build(random_stable_model(np.random.default_rng(7), 4, rho=0.8))
+    for r in (1, 3, 4):
+        assert np.array_equal(reduce(p, r).E, np.diag(p.svd[1][:r]))
+
+
+def test_loewner_interpolation_with_ill_conditioned_e():
+    # A draw of test_loewner_interpolation whose reduced E has
+    # cond = s_1 / s_8 above 1e12: the descriptor model still interpolates,
+    # so reduce must not turn such an E into an error.
+    rng = np.random.default_rng(310)
+    model = random_stable_model(rng, 8, rho=0.8)
+    s = _samples_of_model(model, 16)
+    p = build_loewner(*partition(s, "alternate"))
+    sv = p.svd[1]
+    assert sv[7] / sv[0] < 1e-12
+    got = frequency_response(reduce(p, 8), s.points)
+    assert np.max(np.abs(got - s.values)) <= 1e-8 * np.abs(s.values).max()
 
 
 @pytest.mark.parametrize("pencil, too_high", [
